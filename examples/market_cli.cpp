@@ -788,6 +788,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The base seed reaches the spec's text form (--print-spec, RunKeys, the
+  // coordinator's wire copy) as a double: one above 2^53 would come back
+  // as a different seed, however it was given (--seed, a spec file).
+  if (const std::string err = scenario::find_param("seed")->check(
+          spec.get("seed").value_or(0.0));
+      !err.empty()) {
+    std::cerr << err << "\n";
+    return 2;
+  }
+
   if (print_spec) {
     std::cout << spec.serialize();
     return 0;

@@ -1,5 +1,7 @@
 // CreditFlow: the per-round chunk→owner index behind the streaming
-// protocol's purchase fast path.
+// protocol's purchase phase, in both markets: the direct market's seller
+// choice and the order book's crossing resolve their candidates through it
+// (see "Both markets" below).
 //
 // The naive purchase loop rescans every neighbor for every missing chunk —
 // O(window × degree) BufferMap::has calls per peer per round, the hot path
@@ -21,6 +23,16 @@
 // and appending their owned-∧-wanted bits yields each chunk's candidate
 // list already in neighbor order, so the indexed protocol reproduces the
 // naive scan's RNG draws — and therefore its results — bit for bit.
+//
+// Both markets: a buyer phase first filters its neighbors down to the
+// eligible sellers — upload budget left, and in the order book also a
+// resting ask — then ANDs each eligible seller's ownership words with the
+// wanted mask. A seller whose budget or ask drains mid-phase has its bit
+// cleared from every wanted slot, so each chunk's crossing (best ask,
+// fill-weighted, limit) or seller choice walks one slot mask instead of
+// the neighbor list. The per-chunk neighbor scan survives only as the
+// use_owner_index = false reference path the equivalence tests compare
+// against.
 //
 // Slot-aliasing invariant: a bitmap slot only identifies a chunk relative
 // to a window base, and the index stores no bases. That is sound because

@@ -4,7 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "util/assert.hpp"
@@ -28,21 +28,103 @@ std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
          static_cast<std::size_t>(std::ceil(per_peer)) * 2;
 }
 
-/// Index of the `n`-th (0-based) set bit across `words`; requires that many
-/// set bits to exist.
-std::size_t nth_set_bit(const std::uint64_t* words, std::size_t num_words,
-                        std::size_t n) {
-  for (std::size_t w = 0; w < num_words; ++w) {
-    const auto c = static_cast<std::size_t>(std::popcount(words[w]));
-    if (n < c) {
-      std::uint64_t m = words[w];
-      for (; n > 0; --n) m &= m - 1;
-      return w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+/// One wanted chunk's sellers as the set bits of its slot mask over the
+/// phase's eligible sellers, kWords words wide (0: `words`, a run-time
+/// width). Ascending bit position is the buyer's neighbor-list order — the
+/// tie-break order every seller choice depends on — so a walk of the mask
+/// visits the same sellers in the same order as the reference scan.
+template <std::size_t kWords>
+struct MaskSellers {
+  const std::uint64_t* mask;
+  const PeerId* eligible;
+  std::size_t words = kWords;
+
+  [[nodiscard]] std::size_t width() const {
+    if constexpr (kWords != 0) {
+      return kWords;
+    } else {
+      return words;
     }
-    n -= c;
   }
-  CF_ENSURES_MSG(false, "nth_set_bit: fewer set bits than requested");
-  return 0;  // unreachable
+  [[nodiscard]] bool empty() const {
+    for (std::size_t w = 0; w < width(); ++w) {
+      if (mask[w] != 0) return false;
+    }
+    return true;
+  }
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (std::size_t w = 0; w < width(); ++w) {
+      n += static_cast<std::size_t>(std::popcount(mask[w]));
+    }
+    return n;
+  }
+  /// The n-th (0-based) seller: the n-th set bit across the words.
+  [[nodiscard]] PeerId operator[](std::size_t n) const {
+    for (std::size_t w = 0; w < width(); ++w) {
+      const auto c = static_cast<std::size_t>(std::popcount(mask[w]));
+      if (n < c) {
+        std::uint64_t m = mask[w];
+        for (; n > 0; --n) m &= m - 1;
+        return eligible[w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
+      }
+      n -= c;
+    }
+    CF_ENSURES_MSG(false, "MaskSellers: fewer sellers than requested");
+    return 0;  // unreachable
+  }
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t w = 0; w < width(); ++w) {
+      std::uint64_t m = mask[w];
+      while (m != 0) {
+        fn(eligible[w * 64 + static_cast<std::size_t>(std::countr_zero(m))]);
+        m &= m - 1;
+      }
+    }
+  }
+};
+
+/// The reference scan's sellers: an explicit list in neighbor order.
+struct ListSellers {
+  std::span<const PeerId> ids;
+
+  [[nodiscard]] bool empty() const { return ids.empty(); }
+  [[nodiscard]] std::size_t size() const { return ids.size(); }
+  [[nodiscard]] PeerId operator[](std::size_t n) const { return ids[n]; }
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const PeerId s : ids) fn(s);
+  }
+};
+
+/// The seller with the smallest key; ties go to the earliest in neighbor
+/// order. Requires a non-empty seller set.
+template <class Sellers, class Key>
+PeerId pick_min(const Sellers& sellers, Key key) {
+  PeerId best = 0;
+  decltype(key(best)) best_key{};
+  bool have = false;
+  sellers.for_each([&](PeerId s) {
+    const auto k = key(s);
+    if (!have || k < best_key) {
+      have = true;
+      best = s;
+      best_key = k;
+    }
+  });
+  return best;
+}
+
+/// A seller drawn with probability proportional to `weight` (one
+/// Rng::discrete draw over the weights in neighbor order). Requires a
+/// non-empty seller set.
+template <class Sellers, class Weight>
+PeerId pick_weighted(const Sellers& sellers, util::Rng& rng,
+                     std::vector<double>& weights, Weight weight) {
+  weights.clear();
+  sellers.for_each([&](PeerId s) { weights.push_back(weight(s)); });
+  return sellers[rng.discrete(weights)];
 }
 
 /// Samples scope duration (µs) into a histogram, but only while the tracer
@@ -158,6 +240,7 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   phase_one_word_ct_ = metrics_.counter_cell("purchase.phase_one_word");
   phase_two_word_ct_ = metrics_.counter_cell("purchase.phase_two_word");
   phase_generic_ct_ = metrics_.counter_cell("purchase.phase_generic");
+  phase_empty_ct_ = metrics_.counter_cell("purchase.phase_empty");
   overlay_edges_dropped_ = metrics_.counter_cell("overlay.edges_dropped");
   whitewash_resets_ = metrics_.counter_cell("strat.whitewash_resets");
   whitewash_minted_ = metrics_.counter_cell("strat.whitewash_minted");
@@ -729,61 +812,74 @@ bool StreamingProtocol::is_book_seller(PeerId id) const {
          cfg_.book.seller_fraction * 16777216.0;
 }
 
-bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
-                                   std::span<const PeerId> neighbors,
+template <class Sellers>
+bool StreamingProtocol::choose_seller(PeerId buyer, ChunkId chunk,
+                                      const Sellers& sellers,
+                                      PeerId& seller_out,
+                                      econ::Credits& price_out) {
+  if (sellers.empty()) return false;
+  if (book_ != nullptr) {
+    return book_cross(buyer, sellers, seller_out, price_out);
+  }
+  // Availability-driven routing (the paper's transfer probabilities):
+  // uniform among the neighbors that own the chunk and still have upload
+  // budget. Capacity shapes income only through saturation (the budget
+  // filter), so λ_i is wealth-independent — the Jackson structure. The
+  // fill-weighted variant instead concentrates demand on chunk-rich
+  // (typically wealthy) peers: the rich-get-richer ablation.
+  switch (cfg_.seller_choice) {
+    case ProtocolConfig::SellerChoice::kAvailabilityUniform:
+      seller_out = sellers[uniform_pick(sellers.size())];
+      break;
+    case ProtocolConfig::SellerChoice::kFillWeighted:
+      seller_out = pick_weighted(sellers, rng_, seller_weights_,
+                                 [this](PeerId s) {
+                                   return static_cast<double>(
+                                              peers_.buffer(s).count()) +
+                                          1.0;
+                                 });
+      break;
+    case ProtocolConfig::SellerChoice::kCheapestAsk:
+      // Procurement auction: cheapest ask wins, ties broken by scan order.
+      seller_out = pick_min(
+          sellers, [&](PeerId s) { return pricing_->price(s, chunk); });
+      break;
+  }
+  price_out = pricing_->price(seller_out, chunk);
+  return true;
+}
+
+template <class Sellers>
+bool StreamingProtocol::book_cross(PeerId buyer, const Sellers& sellers,
                                    PeerId& seller_out,
                                    econ::Credits& price_out) {
-  const auto strategy = cfg_.book.cross;
   using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
-  if (strategy == Cross::kFillWeighted) {
+  if (cfg_.book.cross == Cross::kFillWeighted) {
     // Demand spread across the book's depth: candidate asks weighted by
     // their remaining quantity, so deep levels absorb proportionally more
     // flow than a best-ask stampede would send them.
-    seller_ids_.clear();
-    seller_weights_.clear();
-    for (const PeerId nbr : neighbors) {
-      if (!peers_.alive(nbr) || upload_budget_[nbr] < 1.0) continue;
-      if (!book_->has_ask(nbr) || !peers_.buffer(nbr).has(chunk)) continue;
-      seller_ids_.push_back(nbr);
-      seller_weights_.push_back(
-          static_cast<double>(book_->ask_quantity(nbr)));
-    }
-    if (seller_ids_.empty()) return false;
-    const PeerId pick = seller_ids_[rng_.discrete(seller_weights_)];
-    seller_out = pick;
-    price_out = book_->ask_price(pick);
+    seller_out =
+        pick_weighted(sellers, rng_, seller_weights_, [this](PeerId s) {
+          return static_cast<double>(book_->ask_quantity(s));
+        });
+    price_out = book_->ask_price(seller_out);
     return true;
   }
   // kBestAsk / kLimit: price-time priority over the candidate set — the
-  // naive min-scan on (price, seq) selects exactly the ask a walk of the
-  // book in level order (filtered to candidates) would reach first; the
-  // order-book tests pin that equivalence.
-  PeerId best = 0;
-  econ::Credits best_price = 0;
-  std::uint64_t best_seq = 0;
-  bool have = false;
-  for (const PeerId nbr : neighbors) {
-    if (!peers_.alive(nbr) || upload_budget_[nbr] < 1.0) continue;
-    if (!book_->has_ask(nbr) || !peers_.buffer(nbr).has(chunk)) continue;
-    const econ::Credits p = book_->ask_price(nbr);
-    const std::uint64_t s = book_->ask_seq(nbr);
-    if (!have || p < best_price || (p == best_price && s < best_seq)) {
-      have = true;
-      best = nbr;
-      best_price = p;
-      best_seq = s;
-    }
-  }
-  if (!have) return false;
-  if (strategy == Cross::kLimit && best_price > cfg_.book.limit_price) {
+  // min on (price, seq) selects exactly the ask a walk of the book in level
+  // order (filtered to candidates) would reach first; the order-book tests
+  // pin that equivalence.
+  seller_out = pick_min(sellers, [this](PeerId s) {
+    return std::pair{book_->ask_price(s), book_->ask_seq(s)};
+  });
+  price_out = book_->ask_price(seller_out);
+  if (cfg_.book.cross == Cross::kLimit && price_out > cfg_.book.limit_price) {
     // The market is above the buyer's limit: rest a bid (standing intent,
     // re-posting refreshes it) and wait for asks to come down.
     if (!book_->has_bid(buyer)) ++*book_bids_posted_;
     book_->post_bid(buyer, cfg_.book.limit_price);
     return false;
   }
-  seller_out = best;
-  price_out = best_price;
   return true;
 }
 
@@ -830,235 +926,61 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   // rescanning every neighbor per chunk. Sound within one buyer phase:
   // sellers' ownership and aliveness cannot change until the phase ends
   // (only this buyer gains chunks, and churn events never interleave with a
-  // round), and upload budgets only *decrease*, which the re-check in the
-  // loop below mirrors exactly.
+  // round), and upload budgets and resting asks only *drain*, which
+  // remove_drained_seller mirrors the moment it happens. With no eligible
+  // seller at all every wanted chunk fails on availability, so the phase
+  // ends here.
   const bool book_mode = book_ != nullptr;
-  if (cfg_.use_owner_index && !book_mode) {
-    build_purchase_candidates(neighbors, missing, buyer_buffer.base());
+  const bool indexed = cfg_.use_owner_index;
+  if (indexed &&
+      !build_purchase_candidates(neighbors, missing, buyer_buffer.base())) {
+    peers_.failed_availability(buyer_id) += missing.size();
+    return;
   }
 
   std::size_t purchased = 0;
   for (ChunkId chunk : missing) {
     if (purchased >= purchase_cap) break;
     if (budget < 1.0 && budget <= 0.0) break;
-    // Collect neighbor sellers that hold the chunk and still have upload
-    // budget this round; weight by their availability (buffer fill).
-    // Availability-driven routing (the paper's transfer probabilities):
-    // uniform among the neighbors that own the chunk and still have
-    // upload budget. Capacity shapes income only through saturation (the
-    // budget filter), so λ_i is wealth-independent — the Jackson
-    // structure. The fill-weighted variant instead concentrates demand on
-    // chunk-rich (typically wealthy) peers: the rich-get-richer ablation.
-    const bool fill_weighted =
-        cfg_.seller_choice == ProtocolConfig::SellerChoice::kFillWeighted;
     PeerId seller_id = 0;
+    econ::Credits price = 0;
+    const auto choose = [&](const auto& sellers) {
+      return choose_seller(buyer_id, chunk, sellers, seller_id, price);
+    };
     bool have_seller = false;
-    econ::Credits book_price = 0;
-    if (book_mode) {
-      // Order-book market: cross the resting asks instead of picking a
-      // seller directly; the transacted price is the ask's, resolved here.
-      have_seller = book_cross(buyer_id, chunk, neighbors, seller_id,
-                               book_price);
-    } else if (cfg_.use_owner_index && phase_single_word_) {
-      // Single-word phase (the dominant configuration): the whole
-      // candidate set is one word, so count/pick/walk need no word loop.
-      // Identical candidate sets and picks as the generic path below.
-      const std::uint64_t mask = slot_masks_[phase_slot(chunk)];
-      if (mask != 0) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          std::uint64_t m = mask;
-          while (m != 0) {
-            const PeerId candidate =
-                eligible_[static_cast<std::size_t>(std::countr_zero(m))];
-            m &= m - 1;
-            const econ::Credits ask = pricing_->price(candidate, chunk);
-            if (ask < best) {
-              best = ask;
-              seller_id = candidate;
-            }
-          }
-        } else if (fill_weighted) {
-          seller_ids_.clear();
-          seller_weights_.clear();
-          std::uint64_t m = mask;
-          while (m != 0) {
-            const PeerId candidate =
-                eligible_[static_cast<std::size_t>(std::countr_zero(m))];
-            m &= m - 1;
-            seller_ids_.push_back(candidate);
-            seller_weights_.push_back(
-                static_cast<double>(peers_.buffer(candidate).count()) + 1.0);
-          }
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          const auto num_sellers =
-              static_cast<std::size_t>(std::popcount(mask));
-          std::uint64_t m = mask;
-          for (std::size_t skip = uniform_pick(num_sellers); skip > 0;
-               --skip) {
-            m &= m - 1;
-          }
-          seller_id =
-              eligible_[static_cast<std::size_t>(std::countr_zero(m))];
-        }
-      }
-    } else if (cfg_.use_owner_index && phase_two_word_) {
-      // Two-word phase (hub buyers: 65..128 budgeted neighbors): the
-      // candidate mask is exactly two words, so count and pick run
-      // unrolled — no per-word loop, no nth_set_bit call. Candidate sets,
-      // RNG draws and picks are identical to the generic path below.
-      const std::uint64_t* mask = slot_masks_.data() + phase_slot(chunk) * 2;
-      const std::uint64_t m0 = mask[0];
-      const std::uint64_t m1 = mask[1];
-      const auto c0 = static_cast<std::size_t>(std::popcount(m0));
-      const std::size_t num_sellers =
-          c0 + static_cast<std::size_t>(std::popcount(m1));
-      if (num_sellers > 0) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          for (std::size_t w = 0; w < 2; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              const econ::Credits ask = pricing_->price(candidate, chunk);
-              if (ask < best) {
-                best = ask;
-                seller_id = candidate;
-              }
-            }
-          }
-        } else if (fill_weighted) {
-          seller_ids_.clear();
-          seller_weights_.clear();
-          for (std::size_t w = 0; w < 2; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              seller_ids_.push_back(candidate);
-              seller_weights_.push_back(
-                  static_cast<double>(peers_.buffer(candidate).count()) +
-                  1.0);
-            }
-          }
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          // The nth set bit across (m0, m1), in ascending (neighbor-list)
-          // order — the same select nth_set_bit performs, without the
-          // word scan.
-          std::size_t n = uniform_pick(num_sellers);
-          std::uint64_t m = m0;
-          std::size_t word_base = 0;
-          if (n >= c0) {
-            n -= c0;
-            m = m1;
-            word_base = 64;
-          }
-          for (; n > 0; --n) m &= m - 1;
-          seller_id = eligible_[
-              word_base + static_cast<std::size_t>(std::countr_zero(m))];
-        }
-      }
-    } else if (cfg_.use_owner_index) {
-      // The slot's candidate mask is already budget-correct (drained
-      // sellers were cleared the moment they drained), so the candidate
-      // count is a popcount and the uniform pick an nth-set-bit select.
+    if (indexed) {
+      // One mask walk for every seller choice and book crossing, at the
+      // phase's mask width.
       const std::uint64_t* mask =
           slot_masks_.data() + phase_slot(chunk) * eligible_words_;
-      std::size_t num_sellers = 0;
-      for (std::size_t w = 0; w < eligible_words_; ++w) {
-        num_sellers += static_cast<std::size_t>(std::popcount(mask[w]));
-      }
-      if (num_sellers > 0) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          // Procurement auction: cheapest ask wins, ties broken by scan
-          // order — ascending bit position is neighbor-list order.
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          for (std::size_t w = 0; w < eligible_words_; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              const econ::Credits ask = pricing_->price(candidate, chunk);
-              if (ask < best) {
-                best = ask;
-                seller_id = candidate;
-              }
-            }
-          }
-        } else if (fill_weighted) {
-          seller_ids_.clear();
-          seller_weights_.clear();
-          for (std::size_t w = 0; w < eligible_words_; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              seller_ids_.push_back(candidate);
-              seller_weights_.push_back(
-                  static_cast<double>(peers_.buffer(candidate).count()) +
-                  1.0);
-            }
-          }
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          seller_id = eligible_[nth_set_bit(mask, eligible_words_,
-                                            uniform_pick(num_sellers))];
-        }
+      switch (eligible_words_) {
+        case 1:
+          have_seller = choose(MaskSellers<1>{mask, eligible_.data()});
+          break;
+        case 2:
+          have_seller = choose(MaskSellers<2>{mask, eligible_.data()});
+          break;
+        default:
+          have_seller = choose(
+              MaskSellers<0>{mask, eligible_.data(), eligible_words_});
+          break;
       }
     } else {
-      // Reference path: the original O(degree) per-chunk neighbor scan.
-      // Kept for the equivalence tests and the perf benches; must stay
-      // trace-identical to the indexed path.
+      // Reference path (use_owner_index = false): the original O(degree)
+      // per-chunk neighbor scan, kept as the equivalence oracle; it must
+      // stay trace-identical to the indexed walk above.
       seller_ids_.clear();
-      seller_weights_.clear();
-      for (PeerId nbr : neighbors) {
+      for (const PeerId nbr : neighbors) {
         if (!peers_.alive(nbr) || upload_budget_[nbr] < 1.0) continue;
-        const BufferMap& nbr_buffer = peers_.buffer(nbr);
-        if (!nbr_buffer.has(chunk)) continue;
-        seller_ids_.push_back(nbr);
-        if (fill_weighted) {
-          seller_weights_.push_back(
-              static_cast<double>(nbr_buffer.count()) + 1.0);
-        }
+        if (book_mode && !book_->has_ask(nbr)) continue;
+        if (peers_.buffer(nbr).has(chunk)) seller_ids_.push_back(nbr);
       }
-      if (!seller_ids_.empty()) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          for (const PeerId candidate : seller_ids_) {
-            const econ::Credits ask = pricing_->price(candidate, chunk);
-            if (ask < best) {
-              best = ask;
-              seller_id = candidate;
-            }
-          }
-        } else if (fill_weighted) {
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          seller_id = seller_ids_[uniform_pick(seller_ids_.size())];
-        }
-      }
+      have_seller = choose(ListSellers{seller_ids_});
     }
     if (!have_seller) {
       ++peers_.failed_availability(buyer_id);
       continue;
     }
-    const econ::Credits price =
-        book_mode ? book_price : pricing_->price(seller_id, chunk);
 
     if (static_cast<double>(price) > budget) {
       ++peers_.failed_affordability(buyer_id);
@@ -1090,7 +1012,9 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
         book_->on_bid_matched(buyer_id);
         ++*book_bids_matched_;
       }
-    } else if (cfg_.use_owner_index && upload_budget_[seller_id] < 1.0) {
+    }
+    if (indexed && (upload_budget_[seller_id] < 1.0 ||
+                    (book_mode && !book_->has_ask(seller_id)))) {
       remove_drained_seller(seller_id, missing);
     }
     budget -= static_cast<double>(price);
@@ -1118,45 +1042,49 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   }
 }
 
-void StreamingProtocol::build_purchase_candidates(
+bool StreamingProtocol::build_purchase_candidates(
     std::span<const PeerId> neighbors, std::span<const ChunkId> wanted,
     ChunkId window_base) {
   phase_base_ = window_base;
   phase_base_slot_ = owner_index_.slot(window_base);
   // Hoisted per-seller filter: a seller that entered the phase without
-  // upload budget can never regain it mid-phase (budgets only drain;
-  // mid-phase drains are handled by remove_drained_seller). No aliveness
-  // check: a departed peer holds no overlay edges — it cannot appear in a
-  // neighbor list — and its ownership bitmap is cleared on departure, so
-  // even a stale entry could never contribute a candidate bit. The filter
-  // therefore touches only the dense budget array, never the scattered
-  // per-peer state.
+  // upload budget (or, in the order book, without a resting ask) can never
+  // regain it mid-phase (both only drain; mid-phase drains are handled by
+  // remove_drained_seller). No aliveness check: a departed peer holds no
+  // overlay edges — it cannot appear in a neighbor list — and its
+  // ownership bitmap is cleared on departure, so even a stale entry could
+  // never contribute a candidate bit.
   eligible_.clear();
-  for (const PeerId nbr : neighbors) {
-    if (upload_budget_[nbr] >= 1.0) {
-      eligible_.push_back(nbr);
+  if (book_ == nullptr) {
+    for (const PeerId nbr : neighbors) {
+      if (upload_budget_[nbr] >= 1.0) eligible_.push_back(nbr);
     }
+  } else {
+    for (const PeerId nbr : neighbors) {
+      if (upload_budget_[nbr] >= 1.0 && book_->has_ask(nbr)) {
+        eligible_.push_back(nbr);
+      }
+    }
+  }
+  candidates_hist_->add(eligible_.size());
+  if (eligible_.empty()) {
+    ++*phase_empty_ct_;
+    return false;
   }
   eligible_words_ = (eligible_.size() + 63) / 64;
   const std::size_t needed = cfg_.window_chunks * eligible_words_;
   if (slot_masks_.size() < needed) slot_masks_.resize(needed);
-
-  candidates_hist_->add(eligible_.size());
-  phase_single_word_ =
-      owner_index_.words_per_peer() == 1 && eligible_words_ == 1;
-  phase_two_word_ = !phase_single_word_ && eligible_words_ == 2;
-  if (phase_single_word_) {
-    ++*phase_one_word_ct_;
-  } else if (phase_two_word_) {
-    ++*phase_two_word_ct_;
-  } else {
-    ++*phase_generic_ct_;
+  switch (eligible_words_) {
+    case 1: ++*phase_one_word_ct_; break;
+    case 2: ++*phase_two_word_ct_; break;
+    default: ++*phase_generic_ct_; break;
   }
-  if (phase_single_word_) {
-    // Dominant configuration (window ≤ 64 chunks, ≤ 64 budgeted
-    // neighbors): every mask is one word, so the scatter loop runs without
-    // the generic path's per-word indexing. Same candidate sets, same
-    // neighbor-order bit layout — outcomes are bit-identical.
+
+  if (owner_index_.words_per_peer() == 1 && eligible_words_ == 1) {
+    // Dominant configuration (window ≤ 64 chunks, ≤ 64 eligible sellers):
+    // every mask is one word, so the scatter loop runs without the generic
+    // path's per-word indexing. Same candidate sets, same neighbor-order
+    // bit layout — outcomes are bit-identical.
     std::uint64_t miss = 0;
     for (const ChunkId c : wanted) {
       const std::size_t s = phase_slot(c);
@@ -1171,7 +1099,7 @@ void StreamingProtocol::build_purchase_candidates(
         m &= m - 1;
       }
     }
-    return;
+    return true;
   }
 
   missing_mask_.assign(owner_index_.words_per_peer(), 0);
@@ -1194,6 +1122,7 @@ void StreamingProtocol::build_purchase_candidates(
       }
     }
   }
+  return true;
 }
 
 std::size_t StreamingProtocol::uniform_pick(std::size_t num_candidates) {
@@ -1212,10 +1141,6 @@ void StreamingProtocol::remove_drained_seller(
   while (j < eligible_.size() && eligible_[j] != seller) ++j;
   if (j == eligible_.size()) return;
   const std::uint64_t clear = ~(std::uint64_t{1} << (j & 63));
-  if (phase_single_word_) {
-    for (const ChunkId c : wanted) slot_masks_[phase_slot(c)] &= clear;
-    return;
-  }
   const std::size_t word_j = j >> 6;
   for (const ChunkId c : wanted) {
     slot_masks_[phase_slot(c) * eligible_words_ + word_j] &= clear;

@@ -85,10 +85,11 @@ struct ProtocolConfig {
   /// that sizes the purchase phase's per-chunk seller scans).
   double overlay_mean_degree = 20.0;
 
-  /// Resolve purchase candidates through the incrementally-maintained
-  /// chunk→owner bitmap index (word-wide AND walks) instead of rescanning
-  /// every neighbor per chunk. Both paths produce bit-identical markets —
-  /// the flag exists so tests and perf benches can compare them.
+  /// Resolve purchase candidates — direct seller choice and order-book
+  /// crossing alike — through the incrementally-maintained chunk→owner
+  /// bitmap index (word-wide AND walks) instead of rescanning every
+  /// neighbor per chunk. Both paths produce bit-identical markets — the
+  /// flag exists so tests and perf benches can compare them.
   bool use_owner_index = true;
 
   /// Mean chunks/sec a peer can serve. The ratio to stream_rate is the
@@ -346,10 +347,12 @@ class StreamingProtocol {
   void peer_purchase_phase(PeerId buyer_id, double now);
   /// Fill the per-slot candidate bitmasks for this buyer: bit j of slot s
   /// set ⟺ eligible_[j] owns the wanted chunk at slot s. eligible_ holds
-  /// the buyer's alive, upload-budgeted neighbors in neighbor-list order
-  /// (the tie-break order the seller choice depends on), so ascending bit
-  /// position IS neighbor order.
-  void build_purchase_candidates(std::span<const PeerId> neighbors,
+  /// the buyer's upload-budgeted neighbors — in the order book, those that
+  /// also have a resting ask — in neighbor-list order (the tie-break order
+  /// the seller choice depends on), so ascending bit position IS neighbor
+  /// order. Returns false (and builds nothing) when no neighbor is
+  /// eligible.
+  bool build_purchase_candidates(std::span<const PeerId> neighbors,
                                  std::span<const ChunkId> wanted,
                                  ChunkId window_base);
   /// OwnerIndex::slot without the per-chunk hardware divide: all chunks a
@@ -361,9 +364,10 @@ class StreamingProtocol {
     if (s >= cfg_.window_chunks) s -= cfg_.window_chunks;
     return s;
   }
-  /// A seller's upload budget dropped below 1 mid-phase: clear its bit
-  /// from every wanted slot so later chunks in this phase skip it (the
-  /// indexed equivalent of the naive scan's per-chunk budget check).
+  /// A seller can no longer serve mid-phase (upload budget below 1, or
+  /// its resting ask drained or expired): clear its bit from every wanted
+  /// slot so later chunks in this phase skip it (the indexed equivalent of
+  /// the reference scan's per-chunk budget and ask checks).
   void remove_drained_seller(PeerId seller, std::span<const ChunkId> wanted);
   /// Order-book round opening: every participating seller posts (or
   /// replaces) its ask — quantity from this round's upload budget, price
@@ -372,12 +376,24 @@ class StreamingProtocol {
   /// Whether `id` participates as an ask-posting seller (deterministic
   /// per-id hash against book.seller_fraction — stable under churn).
   [[nodiscard]] bool is_book_seller(PeerId id) const;
-  /// Cross the book for one wanted chunk: among `neighbors` whose resting
-  /// asks cover `chunk` (owner + upload budget + live ask), pick per the
-  /// crossing strategy. Returns false when no ask is crossable (for kLimit
-  /// that includes best-ask-above-limit, which posts a resting bid).
-  bool book_cross(PeerId buyer, ChunkId chunk,
-                  std::span<const PeerId> neighbors, PeerId& seller_out,
+  /// Pick the seller and price for one wanted chunk among `sellers` (its
+  /// candidates, in neighbor-list order): the book crossing in kOrderBook
+  /// mode, else the configured seller choice at the pricing scheme's
+  /// price. `Sellers` is a slot mask over eligible_ (the owner-index walk,
+  /// at the phase's word width) or the reference scan's explicit list;
+  /// both yield the same picks and RNG draws. Returns false when no seller
+  /// qualifies.
+  template <class Sellers>
+  bool choose_seller(PeerId buyer, ChunkId chunk, const Sellers& sellers,
+                     PeerId& seller_out, econ::Credits& price_out);
+  /// Cross the book for one wanted chunk over its non-empty candidate
+  /// sellers — owner + upload budget + resting ask, resolved through the
+  /// owner index (the per-chunk neighbor scan survives only as the
+  /// use_owner_index = false oracle) — per the crossing strategy. Returns
+  /// false when no ask is crossable: for kLimit, best-ask-above-limit
+  /// posts a resting bid instead.
+  template <class Sellers>
+  bool book_cross(PeerId buyer, const Sellers& sellers, PeerId& seller_out,
                   econ::Credits& price_out);
   /// Availability-uniform choice over `num_candidates` in closed form.
   /// Rng::discrete over k all-ones weights draws one uniform() and returns
@@ -430,12 +446,12 @@ class StreamingProtocol {
   // Per-round scratch (kept across rounds to avoid reallocation).
   std::vector<double> upload_budget_;   ///< chunks a peer may still serve
   std::vector<PeerId> round_order_;
-  std::vector<double> seller_weights_;
-  std::vector<PeerId> seller_ids_;
+  std::vector<double> seller_weights_;  ///< fill-weighted pick weights
+  std::vector<PeerId> seller_ids_;      ///< reference scan's candidates
   // Per-buyer-phase scratch for the indexed path: the wanted-chunk mask,
-  // the buyer's eligible neighbors (alive + upload budget, in
-  // neighbor-list order), and one bitmask over those neighbors per window
-  // slot (row-major, eligible_words_ words per slot).
+  // the buyer's eligible neighbors (upload budget, plus a resting ask in
+  // the order book; in neighbor-list order), and one bitmask over those
+  // neighbors per window slot (row-major, eligible_words_ words per slot).
   std::vector<std::uint64_t> missing_mask_;
   std::vector<PeerId> eligible_;
   std::vector<std::uint64_t> slot_masks_;
@@ -454,16 +470,6 @@ class StreamingProtocol {
   bool strat_enabled_ = false;
   ChunkId phase_base_ = 0;          ///< current phase's window base
   std::size_t phase_base_slot_ = 0; ///< its ring slot (one divide per phase)
-  /// Current phase fits the single-word fast path: the window is ≤ 64
-  /// chunks AND the buyer has 1..64 budgeted neighbors, so every candidate
-  /// mask is exactly one word (set by build_purchase_candidates).
-  bool phase_single_word_ = false;
-  /// Current phase fits the two-word fast path: 65..128 budgeted neighbors
-  /// (eligible_words_ == 2), the hub-buyer regime. Each slot's candidate
-  /// mask is exactly two words, so count/pick run unrolled instead of
-  /// through the generic per-word loops. Mutually exclusive with
-  /// phase_single_word_ (also set by build_purchase_candidates).
-  bool phase_two_word_ = false;
 
   // Hot-loop counter cells cached once (stable for the registry lifetime)
   // so per-event accounting skips the by-name map lookup — and the
@@ -485,6 +491,8 @@ class StreamingProtocol {
   std::uint64_t* phase_one_word_ct_ = nullptr;
   std::uint64_t* phase_two_word_ct_ = nullptr;
   std::uint64_t* phase_generic_ct_ = nullptr;
+  /// Buyer phases that ended before any walk: no eligible neighbor.
+  std::uint64_t* phase_empty_ct_ = nullptr;
   // Pool-exhaustion readout: the overlay's edge-drop count mirrored into
   // the registry each round, so capacity pressure lands in run telemetry
   // instead of only a warn-once stderr line.

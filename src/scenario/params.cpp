@@ -29,6 +29,12 @@ using Kind = ParamDesc::Kind;
 /// territory on a double this large anyway.
 constexpr double kMaxCount = 1e15;
 
+/// Seeds travel as doubles (the table's value type and the spec's text
+/// form), which hold every integer below 2^53 exactly and no odd one
+/// above it. A larger base seed would come back from serialize/parse as a
+/// different seed — a different market under the same RunKey.
+constexpr double kSeedLimit = 9007199254740992.0;  // 2^53
+
 const std::vector<ParamDesc>& table() {
   using core::MarketConfig;
   static const std::vector<ParamDesc> kTable = {
@@ -62,7 +68,7 @@ const std::vector<ParamDesc>& table() {
        [](MarketConfig& c, double v) {
          c.protocol.seed = static_cast<std::uint64_t>(v);
        },
-       Kind::kCount},
+       Kind::kSeed},
 
       // Run shape.
       {"horizon", "simulated seconds",
@@ -509,6 +515,13 @@ std::string ParamDesc::check(double value) const {
     case Kind::kBool:
       if (value != 0.0 && value != 1.0) {
         err << "flag must be 0 or 1, got " << util::format_double(value);
+        return err.str();
+      }
+      return {};
+    case Kind::kSeed:
+      if (value < 0.0 || value != std::floor(value) || value >= kSeedLimit) {
+        err << "seed must be an integer in [0, 2^53), got "
+            << util::format_double(value);
         return err.str();
       }
       return {};

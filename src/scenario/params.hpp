@@ -29,6 +29,7 @@ struct ParamDesc {
     kFraction,  ///< finite, in [0, 1]
     kBool,      ///< exactly 0 or 1
     kEnum,      ///< integer-valued code in [0, enum_max]
+    kSeed,      ///< integer in [0, 2^53): exact in the spec's text form
   };
 
   std::string_view key;

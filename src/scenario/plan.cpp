@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "scenario/executor.hpp"
+#include "scenario/params.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -48,6 +49,11 @@ RunKey RunKey::of(std::string_view spec_text, std::size_t run_index) {
 SweepPlan::SweepPlan(ScenarioSpec base, SweepSpec sweep)
     : base_(std::move(base)), sweep_(std::move(sweep)) {
   CF_EXPECTS(sweep_.seeds >= 1);
+  // Every RunKey, cache entry and worker's copy of the plan derives from
+  // the base spec's text form, so the base seed must survive it exactly.
+  const std::string seed_error = find_param("seed")->check(
+      static_cast<double>(base_.config.protocol.seed));
+  CF_EXPECTS_MSG(seed_error.empty(), seed_error);
 }
 
 ScenarioSpec SweepPlan::spec(std::size_t run_index) const {

@@ -48,7 +48,10 @@ struct ScenarioSpec {
   /// Read one parameter by key (same namespace as set()).
   [[nodiscard]] std::optional<double> get(std::string_view key) const;
 
-  /// Full text form; parse(serialize()) reproduces the spec exactly.
+  /// Full text form; parse(serialize()) reproduces the spec exactly for
+  /// base seeds below 2^53 (set_checked and SweepPlan reject larger ones;
+  /// an instantiated spec's derived 64-bit seed is only hashed, never
+  /// re-read).
   [[nodiscard]] std::string serialize() const;
   /// Parse the text form; throws util::PreconditionError on malformed
   /// input or unknown keys.

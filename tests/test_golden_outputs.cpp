@@ -90,5 +90,38 @@ TEST(GoldenOutputs, Fig09TaxationSweepMatchesPreRefactorEngine) {
                 0x5a2827253bad8536ULL);
 }
 
+// The order-book and strategy presets, pinned on small grids before the
+// book crossing moved onto the owner index: book posting, all three
+// crossing strategies (best-ask, fill-weighted, resting-limit bids),
+// adaptive and fixed-markup asks, a half-seller pool, churn, whitewashers
+// and staked seeders. Each kernel change must land these bytes unchanged.
+
+TEST(GoldenOutputs, Obk01ClearingSweepIsPinned) {
+  SweepSpec sweep;
+  sweep.axes.push_back(SweepAxis::parse("book.seller_fraction=0.5,1"));
+  sweep.seeds = 2;
+  const ResultSink sink =
+      run_sweep("obk01_clearing", 200.0, std::move(sweep));
+  expect_hashes(sink, 0x35c68f0e4a8b37dfULL, 0x4b0d5248d93f06caULL,
+                0x289500f4276b98f2ULL);
+}
+
+TEST(GoldenOutputs, Obk02MarkupCrossSweepIsPinned) {
+  SweepSpec sweep;
+  sweep.axes.push_back(SweepAxis::parse("book.cross=0,1,2"));
+  sweep.seeds = 2;
+  const ResultSink sink = run_sweep("obk02_markup", 200.0, std::move(sweep));
+  expect_hashes(sink, 0x4879f063178622c8ULL, 0xfbac37d55ff343e3ULL,
+                0xe2cecc473384141fULL);
+}
+
+TEST(GoldenOutputs, Adv03StakeSweepIsPinned) {
+  SweepSpec sweep;
+  sweep.seeds = 2;
+  const ResultSink sink = run_sweep("adv03_stake", 200.0, std::move(sweep));
+  expect_hashes(sink, 0x1d841e749a7948eaULL, 0x18181fcb0f5ffeb9ULL,
+                0xfff3a521c58cc4ebULL);
+}
+
 }  // namespace
 }  // namespace creditflow::scenario

@@ -6,6 +6,8 @@
 // window advances, and churn join/leave.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "p2p/owner_index.hpp"
 #include "p2p/protocol.hpp"
 #include "sim/simulator.hpp"
@@ -77,6 +79,15 @@ ProtocolConfig base_config(std::uint64_t seed) {
 struct RunOutcome {
   std::vector<TransactionRecord> records;
   std::vector<double> balances;
+  // Order-book accounting (all zero in the direct market).
+  std::uint64_t book_fills = 0;
+  std::uint64_t book_asks_expired = 0;
+  std::uint64_t book_bids_posted = 0;
+  std::uint64_t book_bids_matched = 0;
+  std::uint64_t whitewash_resets = 0;
+  // Buyer phases per candidate-mask width (indexed runs only).
+  std::uint64_t phase_two_word = 0;
+  std::uint64_t phase_generic = 0;
 };
 
 RunOutcome run_market(ProtocolConfig cfg, double horizon) {
@@ -85,27 +96,49 @@ RunOutcome run_market(ProtocolConfig cfg, double horizon) {
   proto.trace().set_keep_records(true);
   proto.start();
   sim.run_until(horizon);
-  return {proto.trace().records(), proto.balance_snapshot()};
+  auto& m = proto.metrics();
+  return {proto.trace().records(),
+          proto.balance_snapshot(),
+          m.counter("book.fills"),
+          m.counter("book.asks_expired"),
+          m.counter("book.bids_posted"),
+          m.counter("book.bids_matched"),
+          m.counter("strat.whitewash_resets"),
+          m.counter("purchase.phase_two_word"),
+          m.counter("purchase.phase_generic")};
 }
 
-void expect_identical_markets(const ProtocolConfig& cfg, double horizon) {
+/// Runs `cfg` indexed and through the reference scan, asserts the two
+/// markets match trace for trace, and returns the indexed outcome so
+/// callers can check the configuration exercised what it claims to.
+RunOutcome expect_identical_markets(const ProtocolConfig& cfg,
+                                    double horizon) {
   ProtocolConfig indexed = cfg;
   indexed.use_owner_index = true;
   ProtocolConfig naive = cfg;
   naive.use_owner_index = false;
 
-  const RunOutcome a = run_market(indexed, horizon);
+  RunOutcome a = run_market(indexed, horizon);
   const RunOutcome b = run_market(naive, horizon);
 
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
+  EXPECT_EQ(a.records.size(), b.records.size());
+  const std::size_t n = std::min(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(a.records[i].time, b.records[i].time) << "record " << i;
-    ASSERT_EQ(a.records[i].buyer, b.records[i].buyer) << "record " << i;
-    ASSERT_EQ(a.records[i].seller, b.records[i].seller) << "record " << i;
-    ASSERT_EQ(a.records[i].chunk, b.records[i].chunk) << "record " << i;
-    ASSERT_EQ(a.records[i].price, b.records[i].price) << "record " << i;
+    if (a.records[i].buyer != b.records[i].buyer ||
+        a.records[i].seller != b.records[i].seller ||
+        a.records[i].chunk != b.records[i].chunk ||
+        a.records[i].price != b.records[i].price) {
+      ADD_FAILURE() << "traces diverge at record " << i;
+      break;
+    }
   }
   EXPECT_EQ(a.balances, b.balances);
+  EXPECT_EQ(a.book_fills, b.book_fills);
+  EXPECT_EQ(a.book_asks_expired, b.book_asks_expired);
+  EXPECT_EQ(a.book_bids_posted, b.book_bids_posted);
+  EXPECT_EQ(a.book_bids_matched, b.book_bids_matched);
+  return a;
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanAcrossSeeds) {
@@ -218,6 +251,128 @@ TEST(OwnerIndexEquivalence, MatchesNaiveScanSupplyLimited) {
   cfg.tax.rate = 0.15;
   cfg.tax.threshold = 30.0;
   expect_identical_markets(cfg, 80.0);
+}
+
+using BookConfig = ProtocolConfig::OrderBookConfig;
+
+/// The order-book market (obk02-style fixed-markup asks at twice the base
+/// price): book mode resolves its crossings through the same owner-index
+/// walk, with "upload budget and a resting ask" as the eligibility filter.
+ProtocolConfig book_config(std::uint64_t seed) {
+  auto cfg = base_config(seed);
+  cfg.market_mode = ProtocolConfig::MarketMode::kOrderBook;
+  cfg.book.ask_pricing = BookConfig::AskPricing::kFixedMarkup;
+  cfg.book.ask_markup = 1.0;
+  cfg.book.base_price = 1;
+  cfg.book.max_price = 16;
+  return cfg;
+}
+
+/// Adaptive (tatonnement) asks, obk01-style: prices move per seller, so
+/// crossings see several price levels and time priority within them.
+ProtocolConfig adaptive_book_config(std::uint64_t seed) {
+  auto cfg = book_config(seed);
+  cfg.book.ask_pricing = BookConfig::AskPricing::kAdaptive;
+  cfg.book.base_price = 2;
+  cfg.book.reprice_rounds = 4;
+  return cfg;
+}
+
+TEST(OwnerIndexBookEquivalence, BestAskMatchesNaiveScan) {
+  for (const std::uint64_t seed : {1ull, 17ull}) {
+    const auto out = expect_identical_markets(book_config(seed), 60.0);
+    EXPECT_GT(out.book_fills, 0u);
+  }
+}
+
+TEST(OwnerIndexBookEquivalence, AdaptiveBestAskMatchesNaiveScan) {
+  const auto out = expect_identical_markets(adaptive_book_config(3), 80.0);
+  EXPECT_GT(out.book_fills, 0u);
+}
+
+TEST(OwnerIndexBookEquivalence, FillWeightedMatchesNaiveScan) {
+  for (auto cfg : {book_config(7), adaptive_book_config(8)}) {
+    cfg.book.cross = BookConfig::CrossStrategy::kFillWeighted;
+    const auto out = expect_identical_markets(cfg, 60.0);
+    EXPECT_GT(out.book_fills, 0u);
+  }
+}
+
+TEST(OwnerIndexBookEquivalence, LimitWithRestingBidsMatchesNaiveScan) {
+  // Adaptive asks climb above a limit of 2 on sellers that keep selling,
+  // so crossings both fill and rest bids, and rested bids later match.
+  auto cfg = adaptive_book_config(11);
+  cfg.book.cross = BookConfig::CrossStrategy::kLimit;
+  cfg.book.limit_price = 2;
+  const auto out = expect_identical_markets(cfg, 80.0);
+  EXPECT_GT(out.book_fills, 0u);
+  EXPECT_GT(out.book_bids_posted, 0u);
+  EXPECT_GT(out.book_bids_matched, 0u);
+}
+
+TEST(OwnerIndexBookEquivalence, HalfSellerPoolMatchesNaiveScan) {
+  // Only half the peers post asks: owners without an ask must never be
+  // candidates, however many chunks they hold.
+  for (auto cfg : {book_config(13), adaptive_book_config(14)}) {
+    cfg.book.seller_fraction = 0.5;
+    const auto out = expect_identical_markets(cfg, 60.0);
+    EXPECT_GT(out.book_fills, 0u);
+  }
+}
+
+TEST(OwnerIndexBookEquivalence, UnderChurnMatchesNaiveScan) {
+  for (const BookConfig::CrossStrategy cross :
+       {BookConfig::CrossStrategy::kBestAsk,
+        BookConfig::CrossStrategy::kFillWeighted}) {
+    auto cfg = book_config(19);
+    cfg.book.cross = cross;
+    cfg.churn.enabled = true;
+    cfg.churn.arrival_rate = 0.8;
+    cfg.churn.mean_lifespan = 40.0;
+    cfg.churn.join_links = 6;
+    const auto out = expect_identical_markets(cfg, 120.0);
+    EXPECT_GT(out.book_fills, 0u);
+  }
+}
+
+TEST(OwnerIndexBookEquivalence, StrategyMixMatchesNaiveScan) {
+  // The adv03 mix: whitewashers cycling identities, staked seeders whose
+  // asks are gated on their bond, free-riders that never post, under churn.
+  auto cfg = book_config(23);
+  cfg.churn.enabled = true;
+  cfg.churn.arrival_rate = 0.5;
+  cfg.churn.mean_lifespan = 60.0;
+  cfg.churn.join_links = 6;
+  cfg.strat.free_rider_fraction = 0.1;
+  cfg.strat.whitewash_fraction = 0.1;
+  cfg.strat.whitewash_threshold = 35.0;  // 40-credit endowment: cycles early
+  cfg.strat.staked_fraction = 0.2;
+  cfg.strat.stake_amount = 25;
+  cfg.strat.stake_slash = 0.5;
+  cfg.strat.revalidate_rounds = 16;
+  const auto out = expect_identical_markets(cfg, 120.0);
+  EXPECT_GT(out.book_fills, 0u);
+  EXPECT_GT(out.whitewash_resets, 0u);
+}
+
+TEST(OwnerIndexBookEquivalence, HubBuyersTakeTheDynamicWidthWalk) {
+  // A swarm dense enough that some buyers hold more than 128 budgeted,
+  // ask-holding neighbors: their candidate masks are three words or more,
+  // so the run-time-width walk resolves their crossings.
+  auto cfg = book_config(29);
+  cfg.initial_peers = 1400;
+  cfg.max_peers = 1440;
+  cfg.overlay_mean_degree = 110.0;
+  for (const BookConfig::CrossStrategy cross :
+       {BookConfig::CrossStrategy::kBestAsk,
+        BookConfig::CrossStrategy::kFillWeighted}) {
+    cfg.book.cross = cross;
+    const auto out = expect_identical_markets(cfg, 30.0);
+    EXPECT_GT(out.book_fills, 0u);
+    EXPECT_GT(out.phase_two_word, 0u);
+    EXPECT_GT(out.phase_generic, 0u)
+        << "no buyer had more than 128 eligible sellers";
+  }
 }
 
 TEST(OwnerIndexInvariant, MirrorsEveryBufferAfterChurnHeavyRun) {

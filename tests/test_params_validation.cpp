@@ -5,6 +5,7 @@
 // the `warmup` pseudo-parameter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -63,6 +64,27 @@ TEST(ParamValidation, EnumRejectsOutOfRangeCodes) {
   EXPECT_EQ(check_error(spec, "churn.rejoin_mint", 2.0), "");
   EXPECT_EQ(spec.config.protocol.churn.rejoin_mint,
             p2p::ChurnConfig::RejoinMint::kDecayed);
+}
+
+TEST(ParamValidation, SeedMustSurviveTheTextForm) {
+  // Seeds travel as doubles: 2^53 - 1 is the largest integer every
+  // neighbor of which is exact too; at 2^53 and above a seed can come back
+  // from serialize/parse as a different one.
+  ScenarioSpec spec;
+  const double limit = 9007199254740992.0;  // 2^53
+  EXPECT_EQ(check_error(spec, "seed", limit),
+            "seed: seed must be an integer in [0, 2^53), got "
+            "9007199254740992");
+  EXPECT_NE(check_error(spec, "seed", 1e19), "");
+  EXPECT_NE(check_error(spec, "seed", -1.0), "");
+  EXPECT_NE(check_error(spec, "seed", 3.5), "");
+  EXPECT_EQ(spec.config.protocol.seed, ScenarioSpec{}.config.protocol.seed);
+  EXPECT_EQ(check_error(spec, "seed", limit - 1.0), "");
+  EXPECT_EQ(spec.config.protocol.seed, (std::uint64_t{1} << 53) - 1);
+  EXPECT_EQ(ScenarioSpec::parse(spec.serialize()).config.protocol.seed,
+            spec.config.protocol.seed);
+  EXPECT_THROW((void)SweepAxis::parse("seed=1,9007199254740992"),
+               util::PreconditionError);
 }
 
 TEST(ParamValidation, NonFiniteValuesAreRejectedForEveryKind) {

@@ -135,6 +135,21 @@ TEST(RunKey, SurvivesSpecSerializationRoundTrip) {
   }
 }
 
+TEST(SweepPlan, RejectsABaseSeedTheSpecTextCannotCarry) {
+  // A seed set straight into the config (bypassing the typed setters)
+  // above 2^53 would serialize as a neighboring double: a worker parsing
+  // the plan's spec would run another market, and a coordinator would
+  // reject its every record as a key mismatch. The plan refuses it.
+  ScenarioSpec base = tiny_base();
+  base.config.protocol.seed = (std::uint64_t{1} << 53) + 1;
+  EXPECT_THROW(SweepPlan(base, tiny_sweep()), util::PreconditionError);
+  base.config.protocol.seed = (std::uint64_t{1} << 53) - 1;
+  const SweepPlan plan(base, tiny_sweep());
+  const ScenarioSpec reparsed = ScenarioSpec::parse(base.serialize());
+  EXPECT_EQ(reparsed.config.protocol.seed, base.config.protocol.seed);
+  EXPECT_EQ(SweepPlan(reparsed, tiny_sweep()).key(0), plan.key(0));
+}
+
 TEST(RunKey, DistinctAcrossRunsAndSensitiveToEveryInput) {
   const SweepPlan plan(tiny_base(), tiny_sweep());
   std::set<std::string> keys;

@@ -161,6 +161,17 @@ void apply_or_die(creditflow::scenario::ScenarioSpec& spec,
   }
 }
 
+/// A PreconditionError's message without the assertion preamble — the one
+/// clean diagnostic line the CLI prints.
+std::string precondition_message(
+    const creditflow::util::PreconditionError& e) {
+  std::string msg = e.what();
+  if (const auto dash = msg.rfind(" — "); dash != std::string::npos) {
+    msg = msg.substr(dash + std::string(" — ").size());
+  }
+  return msg;
+}
+
 creditflow::scenario::ScenarioSpec load_scenario(const std::string& name) {
   using creditflow::scenario::ScenarioRegistry;
   using creditflow::scenario::ScenarioSpec;
@@ -312,8 +323,9 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
               const SweepCliOptions& cli) {
   using namespace creditflow;
   const scenario::SweepPlan plan(spec, sweep);
-  const std::size_t total =
-      plan.shard(cli.shard_index, cli.shard_count).size();
+  const std::vector<std::size_t> owned =
+      plan.shard(cli.shard_index, cli.shard_count);
+  const std::size_t total = owned.size();
   std::cerr << "sweep: " << sweep.num_points() << " grid points x "
             << sweep.seeds << " seeds = " << sweep.num_runs() << " runs";
   if (cli.sharded) {
@@ -337,8 +349,17 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
     }
   }
   std::size_t done = 0;
-  std::size_t executed = 0;
+  // The ETA weighs runs by the plan's expected peer-rounds, the estimate
+  // the executor dispatches by: the costliest runs finish first, so the
+  // mean wall time per completed run would overstate the time left.
+  double remaining_cost = 0.0;
+  double executed_cost = 0.0;
   double executed_wall = 0.0;
+  if (cli.eta) {
+    for (const std::size_t i : owned) {
+      remaining_cost += plan.expected_peer_rounds(i);
+    }
+  }
   const double workers = static_cast<double>(
       cli.jobs != 0 ? cli.jobs
                     : std::max(1u, std::thread::hardware_concurrency()));
@@ -347,8 +368,11 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
   if (!cli.quiet || cli.eta) {
     options.on_result = [&](const scenario::RunResult& r) {
       ++done;
+      const double cost =
+          cli.eta ? plan.expected_peer_rounds(r.run_index) : 0.0;
+      remaining_cost -= cost;
       if (!r.telemetry.from_cache) {
-        ++executed;
+        executed_cost += cost;
         executed_wall += r.telemetry.wall_seconds;
       }
       std::cerr << "[" << done << "/" << total << "] run " << r.run_index;
@@ -359,12 +383,11 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
       } else {
         std::cerr << " gini=" << r.metric("converged_gini");
       }
-      if (cli.eta && executed > 0) {
+      if (cli.eta && executed_cost > 0.0) {
         // Remaining runs are almost all uncached (hits resolve first), so
-        // the mean executed wall time is the right per-run estimate.
-        const double mean_wall = executed_wall / static_cast<double>(executed);
-        const double eta =
-            static_cast<double>(total - done) * mean_wall / workers;
+        // the executed wall time per expected peer-round prices them.
+        const double eta = std::max(0.0, remaining_cost) *
+                           (executed_wall / executed_cost) / workers;
         std::cerr << " | eta " << static_cast<int>(eta + 0.5) << "s";
       }
       std::cerr << "\n";
@@ -662,13 +685,9 @@ int main(int argc, char** argv) {
       try {
         sweep.axes.push_back(scenario::SweepAxis::parse(next()));
       } catch (const util::PreconditionError& e) {
-        // Same contract as --set: one clean diagnostic line (strip the
-        // assertion preamble), exit 2 for malformed values, 64 for an
-        // unknown key (a usage error).
-        std::string msg = e.what();
-        if (const auto dash = msg.rfind(" — "); dash != std::string::npos) {
-          msg = msg.substr(dash + std::string(" — ").size());
-        }
+        // Same contract as --set: one clean diagnostic line, exit 2 for
+        // malformed values, 64 for an unknown key (a usage error).
+        const std::string msg = precondition_message(e);
         std::cerr << "--sweep: " << msg << "\n";
         return msg.rfind("unknown sweep parameter", 0) == 0 ? 64 : 2;
       }
@@ -795,6 +814,16 @@ int main(int argc, char** argv) {
           spec.get("seed").value_or(0.0));
       !err.empty()) {
     std::cerr << err << "\n";
+    return 2;
+  }
+
+  // The axes and --seeds together must still count their runs: a grid
+  // whose run count overflows size_t is a malformed sweep, like a malformed
+  // axis.
+  try {
+    (void)sweep.num_runs();
+  } catch (const util::PreconditionError& e) {
+    std::cerr << "--sweep/--seeds: " << precondition_message(e) << "\n";
     return 2;
   }
 

@@ -95,6 +95,11 @@ struct Coordinator::Impl {
   bool done = false;
   Clock::time_point drain_deadline;
   Clock::time_point started_at;           ///< run() entry, for elapsed/ETA
+  /// Expected peer-rounds of the runs the store did not answer, and of
+  /// those completed since: the /status ETA prices the rest by them, since
+  /// costliest-first leasing makes the first completions the slowest.
+  double fresh_cost = 0.0;
+  double executed_cost = 0.0;
   util::Log2Histogram lease_wall_ms;      ///< grant → first completion
   bool ran = false;
 
@@ -185,11 +190,12 @@ std::vector<RunResult> Coordinator::run() {
   // warm-store output is byte-identical to the uncached sweep. A resumed
   // coordinator's previously-executed runs come back this way: the store
   // holds their bytes, the journal holds their scheduling history.
+  std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < im.plan.size(); ++i) {
     const RunResult* cached =
         im.store ? im.store->find(im.keys[i]) : nullptr;
     if (cached == nullptr) {
-      im.pending.push_back(i);
+      misses.push_back(i);
       continue;
     }
     RunResult hit = im.plan.labelled_result(i);
@@ -203,6 +209,13 @@ std::vector<RunResult> Coordinator::run() {
     im.results[i] = std::move(hit);
     im.have[i] = 1;
     ++im.completed;
+  }
+  // Lease the misses costliest-first, the ThreadPoolExecutor's order.
+  for (const std::size_t k : im.plan.dispatch_order(misses)) {
+    im.pending.push_back(misses[k]);
+  }
+  for (const std::size_t i : misses) {
+    im.fresh_cost += im.plan.expected_peer_rounds(i);
   }
 
   const auto lease_duration = std::chrono::duration_cast<Clock::duration>(
@@ -343,6 +356,7 @@ std::vector<RunResult> Coordinator::run() {
     im.have[idx] = 1;
     ++im.completed;
     ++executed_;
+    im.executed_cost += im.plan.expected_peer_rounds(idx);
     mark_done_if_complete();
     if (im.options.abort_after_executed > 0 &&
         executed_ >= im.options.abort_after_executed && !im.done) {
@@ -496,13 +510,14 @@ std::vector<RunResult> Coordinator::run() {
         std::chrono::duration<double>(now - im.started_at).count();
     const std::size_t remaining = im.plan.size() - im.completed;
     // ETA extrapolated from fresh completions only (cache hits resolve
-    // before serving starts); negative → unknown, rendered as null.
+    // before serving starts), per expected peer-round; negative → unknown,
+    // rendered as null.
     double eta = -1.0;
     if (remaining == 0) {
       eta = 0.0;
-    } else if (executed_ > 0 && elapsed > 0.0) {
-      eta = static_cast<double>(remaining) * elapsed /
-            static_cast<double>(executed_);
+    } else if (im.executed_cost > 0.0 && elapsed > 0.0) {
+      eta = std::max(0.0, im.fresh_cost - im.executed_cost) * elapsed /
+            im.executed_cost;
     }
     std::size_t orphaned = 0;
     for (const auto& [idx, lease] : im.leases) {

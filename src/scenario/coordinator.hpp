@@ -18,6 +18,14 @@
 // first completion of a RunKey wins; every later delivery of that key is
 // acknowledged and discarded.
 //
+// Lease order: the runs the store has not answered are queued
+// longest-expected-first (SweepPlan::dispatch_order, the same order the
+// ThreadPoolExecutor walks), on a fresh and a resumed sweep alike, so the
+// costliest runs of an unequal grid are leased first instead of starting
+// last and stretching the tail. A revoked lease goes back to the queue
+// head, ahead of every run not yet granted. Order never reaches the bytes:
+// results merge by run_index.
+//
 // Fault tolerance (protocol v2):
 //
 //   * Crash-safe journal — with Options::journal_path set, every grant,

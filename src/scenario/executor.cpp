@@ -224,12 +224,15 @@ std::vector<RunResult> ThreadPoolExecutor::execute(
                          : std::max(1u, std::thread::hardware_concurrency());
   jobs = std::min(jobs, total);
 
+  // Costliest run first; each result still lands in its own slot.
+  const std::vector<std::size_t> order = plan.dispatch_order(run_indices);
   std::atomic<std::size_t> next{0};
   std::mutex progress_mutex;
   auto worker = [&] {
     while (true) {
-      const std::size_t slot = next.fetch_add(1);
-      if (slot >= total) return;
+      const std::size_t cursor = next.fetch_add(1);
+      if (cursor >= total) return;
+      const std::size_t slot = order[cursor];
       const std::size_t run_index = run_indices[slot];
       RunResult& result = results[slot];
       result = plan.labelled_result(run_index);

@@ -129,9 +129,12 @@ class Executor {
       const ExecuteOptions& options) = 0;
 };
 
-/// The default in-process executor: a worker pool over an atomic cursor.
+/// The default in-process executor: a worker pool whose atomic cursor walks
+/// the run list longest-expected-first (SweepPlan::dispatch_order), so the
+/// costliest runs of an unequal grid start first and the tail shrinks.
 /// Deterministic by construction — each run is a pure function of the plan
-/// entry, and completion order never influences placement.
+/// entry, and neither dispatch nor completion order influences placement:
+/// result k is always the outcome of run_indices[k].
 class ThreadPoolExecutor final : public Executor {
  public:
   [[nodiscard]] std::vector<RunResult> execute(

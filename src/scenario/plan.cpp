@@ -1,6 +1,9 @@
 #include "scenario/plan.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "scenario/executor.hpp"
 #include "scenario/params.hpp"
@@ -49,6 +52,7 @@ RunKey RunKey::of(std::string_view spec_text, std::size_t run_index) {
 SweepPlan::SweepPlan(ScenarioSpec base, SweepSpec sweep)
     : base_(std::move(base)), sweep_(std::move(sweep)) {
   CF_EXPECTS(sweep_.seeds >= 1);
+  (void)sweep_.num_runs();  // rejects a run count that overflows size_t
   // Every RunKey, cache entry and worker's copy of the plan derives from
   // the base spec's text form, so the base seed must survive it exactly.
   const std::string seed_error = find_param("seed")->check(
@@ -85,6 +89,43 @@ std::vector<std::size_t> SweepPlan::all_runs() const {
   std::vector<std::size_t> indices(size());
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   return indices;
+}
+
+double SweepPlan::expected_peer_rounds(std::size_t run_index) const {
+  const ScenarioSpec run = spec(run_index);
+  const core::MarketConfig& cfg = run.config;
+  const p2p::ProtocolConfig& protocol = cfg.protocol;
+  const double horizon = cfg.horizon;
+  const auto initial = static_cast<double>(protocol.initial_peers);
+  double alive = initial;
+  if (protocol.churn.enabled) {
+    const double lifespan = protocol.churn.mean_lifespan;
+    const double steady = protocol.churn.arrival_rate * lifespan;
+    // Mean over [0, T] of the bootstrap cohort's survival e^(−t/L), i.e.
+    // (L/T)(1 − e^(−T/L)); expm1 keeps it exact when T ≪ L.
+    const double survival =
+        -(lifespan / horizon) * std::expm1(-horizon / lifespan);
+    alive = steady + (initial - steady) * survival;
+  }
+  const double cost = horizon / protocol.round_seconds * alive;
+  // A spec the market would reject (non-positive horizon, lifespan or
+  // round length) costs nothing to dispatch; NaN must never reach a sort.
+  return std::isfinite(cost) && cost > 0.0 ? cost : 0.0;
+}
+
+std::vector<std::size_t> SweepPlan::dispatch_order(
+    std::span<const std::size_t> runs) const {
+  std::vector<double> cost(runs.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    cost[k] = expected_peer_rounds(runs[k]);
+  }
+  std::vector<std::size_t> order(runs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  return order;
 }
 
 std::vector<std::size_t> SweepPlan::shard(std::size_t shard_index,

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,27 @@ class SweepPlan {
 
   /// Every run index, in order.
   [[nodiscard]] std::vector<std::size_t> all_runs() const;
+
+  /// Expected simulation cost of run `run_index`, in peer-rounds: the
+  /// round count (horizon / round_seconds) times the mean alive
+  /// population. Without churn that population is initial_peers N0; with
+  /// churn (arrival rate λ, mean lifespan L, horizon T) it is the
+  /// Little's-law steady state λL plus the decaying bootstrap cohort,
+  ///   λL + (N0 − λL)·(L/T)·(1 − e^(−T/L)),
+  /// since bootstrap peers draw exponential lifespans too. A pure function
+  /// of the instantiated spec (the derived seed never enters), so every
+  /// replication of a grid point gets the same estimate.
+  [[nodiscard]] double expected_peer_rounds(std::size_t run_index) const;
+
+  /// Dispatch order for `runs` (entries of this plan): the positions
+  /// 0..runs.size()-1 sorted costliest-first by expected_peer_rounds
+  /// (longest processing time first), ties kept in list order. Executors
+  /// hand runs out in this order so the long runs of an unequal grid start
+  /// first instead of stretching the tail; results still land by position.
+  /// A grid whose runs all tie (seeds-only, or axes that leave horizon and
+  /// population alone) keeps its list order exactly.
+  [[nodiscard]] std::vector<std::size_t> dispatch_order(
+      std::span<const std::size_t> runs) const;
 
   /// Strided partition for distributed execution: shard i of N owns run
   /// indices {j : j mod N == i}, so every shard receives a similar mix of

@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "scenario/params.hpp"
 #include "util/assert.hpp"
@@ -19,6 +21,10 @@ double parse_number(const std::string& text) {
   CF_EXPECTS_MSG(end != text.c_str() && *end == '\0',
                  "bad number in sweep axis: " + text);
   return v;
+}
+
+bool product_overflows(std::size_t a, std::size_t b) {
+  return b != 0 && a > std::numeric_limits<std::size_t>::max() / b;
 }
 
 }  // namespace
@@ -48,8 +54,15 @@ SweepAxis SweepAxis::parse(const std::string& text) {
     CF_EXPECTS_MSG(hi >= lo, "sweep range is empty: " + text);
     // Index-based stepping avoids accumulating float error over long ranges;
     // the epsilon admits hi itself when (hi-lo) is a whole multiple of step.
-    const auto count = static_cast<std::size_t>(
-        std::floor((hi - lo) / step + 1e-9)) + 1;
+    // The count is checked while still a double: casting an infinite or
+    // huge one to size_t is undefined, and reserving it exhausts memory.
+    const double steps = std::floor((hi - lo) / step + 1e-9);
+    CF_EXPECTS_MSG(std::isfinite(steps) &&
+                       steps < static_cast<double>(kMaxSweepAxisValues),
+                   "sweep range has more than " +
+                       std::to_string(kMaxSweepAxisValues) +
+                       " values: " + text);
+    const auto count = static_cast<std::size_t>(steps) + 1;
     axis.values.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       axis.values.push_back(lo + static_cast<double>(i) * step);
@@ -129,13 +142,26 @@ SweepSpec SweepSpec::parse(const std::string& text) {
     }
   }
   CF_EXPECTS_MSG(saw_seeds, "sweep text is missing the seeds line");
+  (void)sweep.num_runs();  // rejects a grid whose run count overflows
   return sweep;
 }
 
 std::size_t SweepSpec::num_points() const {
   std::size_t n = 1;
-  for (const auto& axis : axes) n *= axis.values.size();
+  for (const auto& axis : axes) {
+    CF_EXPECTS_MSG(!product_overflows(n, axis.values.size()),
+                   "sweep grid has too many points (overflows size_t)");
+    n *= axis.values.size();
+  }
   return n;
+}
+
+std::size_t SweepSpec::num_runs() const {
+  const std::size_t points = num_points();
+  CF_EXPECTS_MSG(!product_overflows(points, seeds),
+                 "sweep has too many runs (grid points x seeds overflows "
+                 "size_t)");
+  return points * seeds;
 }
 
 std::vector<double> SweepSpec::point(std::size_t point_index) const {

@@ -15,6 +15,12 @@
 
 namespace creditflow::scenario {
 
+/// Most values one range axis ("key=lo:hi:step") may expand to. A range
+/// whose count is larger (or not finite) is rejected before anything is
+/// allocated: the parser also reads the sweep text a worker receives over
+/// the wire, so the count is untrusted input.
+inline constexpr std::size_t kMaxSweepAxisValues = 1'000'000;
+
 /// One sweep dimension: a parameter key and its values.
 struct SweepAxis {
   std::string param;
@@ -22,7 +28,8 @@ struct SweepAxis {
 
   /// Parse "key=lo:hi:step" (inclusive arithmetic range), "key=a,b,c"
   /// (explicit list), or "key=v" (one value). Throws on malformed text,
-  /// unknown keys, or empty ranges.
+  /// unknown keys, empty ranges, or ranges of more than
+  /// kMaxSweepAxisValues values.
   [[nodiscard]] static SweepAxis parse(const std::string& text);
 };
 
@@ -31,8 +38,10 @@ struct SweepSpec {
   std::vector<SweepAxis> axes;  ///< empty → the single base point
   std::size_t seeds = 1;        ///< replications per grid point
 
+  /// Grid points and runs (points × seeds). Throw util::PreconditionError
+  /// when the count overflows size_t.
   [[nodiscard]] std::size_t num_points() const;
-  [[nodiscard]] std::size_t num_runs() const { return num_points() * seeds; }
+  [[nodiscard]] std::size_t num_runs() const;
 
   /// Line-oriented text form ("seeds N" + one "axis key=v1,v2,…" line per
   /// axis, values in shortest round-trip form). parse(serialize())
@@ -41,7 +50,7 @@ struct SweepSpec {
   /// ScenarioSpec::serialize.
   [[nodiscard]] std::string serialize() const;
   /// Inverse of serialize(); throws util::PreconditionError on malformed
-  /// input or unknown axis parameters.
+  /// input, unknown axis parameters, or a run count that overflows.
   [[nodiscard]] static SweepSpec parse(const std::string& text);
 
   /// Axis values at grid point `point` (size == axes.size(); first axis

@@ -622,6 +622,84 @@ TEST(CoordinatorFaults, MismatchedRunKeyIsRejectedNotRecorded) {
                    render(tiny_base(), tiny_sweep(), reference));
 }
 
+// ---- Lease order ---------------------------------------------------------
+
+/// tiny_base() as an open market over a churn grid whose runs differ in
+/// expected cost: points (0.5,20) (0.5,80) (1,20) (1,80), one seed each.
+ScenarioSpec tiny_churn_base() {
+  ScenarioSpec spec = tiny_base();
+  spec.config.protocol.max_peers = 256;
+  spec.config.protocol.churn.enabled = true;
+  return spec;
+}
+
+SweepSpec unequal_sweep() {
+  SweepSpec sweep;
+  sweep.axes.push_back(SweepAxis::parse("churn.arrival_rate=0.5,1"));
+  sweep.axes.push_back(SweepAxis::parse("churn.mean_lifespan=20,80"));
+  return sweep;
+}
+
+TEST(CoordinatorLeaseOrder, FirstGrantIsTheCostliestRun) {
+  const SweepPlan plan(tiny_churn_base(), unequal_sweep());
+  ASSERT_EQ(plan.dispatch_order(plan.all_runs()).front(), 3u);
+
+  Coordinator::Options options;
+  options.resume_grace_seconds = 0.0;
+  Coordinator coordinator(tiny_churn_base(), unequal_sweep(), options);
+  ServeThread serve(coordinator);
+  {
+    RawClient client(coordinator.port());
+    (void)client.handshake();
+    EXPECT_EQ(client.lease(), 3u);  // λ=1, L=80 — plan order would say 0
+    EXPECT_EQ(client.lease(), 1u);  // λ=0.5, L=80 next
+    client.vanish();
+  }
+  WorkerReport report;
+  std::thread worker([&] {
+    report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
+  });
+  worker.join();
+  const auto results = serve.join();
+  EXPECT_TRUE(report.completed) << report.error;
+  EXPECT_EQ(coordinator.executed(), 4u);
+  expect_identical(
+      render(tiny_churn_base(), unequal_sweep(), results),
+      render(tiny_churn_base(), unequal_sweep(),
+             reference_results(tiny_churn_base(), unequal_sweep())));
+}
+
+TEST(CoordinatorLeaseOrder, TimedOutLeaseIsRequeuedAtTheHead) {
+  Coordinator::Options options;
+  options.lease_timeout_seconds = 0.2;
+  options.resume_grace_seconds = 0.0;
+  Coordinator coordinator(tiny_churn_base(), unequal_sweep(), options);
+  ServeThread serve(coordinator);
+  {
+    // The staller takes the costliest run and goes silent on an open
+    // connection; once its lease expires, the run is granted again ahead
+    // of every run never leased.
+    RawClient staller(coordinator.port());
+    (void)staller.handshake();
+    EXPECT_EQ(staller.lease(), 3u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    RawClient thief(coordinator.port());
+    (void)thief.handshake();
+    EXPECT_EQ(thief.lease(), 3u);
+    EXPECT_GE(coordinator.requeued(), 1u);
+    thief.vanish();
+    staller.vanish();
+  }
+  WorkerReport report;
+  std::thread worker([&] {
+    report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
+  });
+  worker.join();
+  (void)serve.join();
+  EXPECT_TRUE(report.completed) << report.error;
+  EXPECT_EQ(coordinator.executed(), 4u);
+}
+
 // ---- Protocol v2: RESUME, batched leases, crash recovery -----------------
 
 TEST(CoordinatorResume, VanishedSessionReclaimsItsLeaseViaResume) {

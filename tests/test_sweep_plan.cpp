@@ -1,8 +1,8 @@
 // Tests for the sweep execution API v2: SweepPlan run keys and shard
 // partitions, the run-record format, the RunStore cache (including the
 // only-compute-the-new-grid-points contract, asserted by counting executor
-// invocations), shard-and-merge byte-identical output, and SweepAxis::parse
-// input validation.
+// invocations), shard-and-merge byte-identical output, SweepAxis::parse
+// input validation, and the longest-expected-first dispatch order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <thread>
 
@@ -105,6 +106,197 @@ TEST(SweepAxisParse, AcceptsTheDocumentedForms) {
   // Degenerate-but-valid range: lo == hi.
   EXPECT_EQ(SweepAxis::parse("credits=5:5:1").values,
             (std::vector<double>{5.0}));
+}
+
+TEST(SweepAxisParse, RejectsRangesTooLongToExpand) {
+  // Each of these once reached a size_t cast and a reserve: a count past
+  // memory aborted with bad_alloc, and 1e300 steps was undefined behaviour
+  // that ran a one-point sweep. All must now be a clean precondition
+  // failure, before anything is allocated.
+  EXPECT_THROW((void)SweepAxis::parse("credits=0:1e15:1e-3"),
+               util::PreconditionError);
+  EXPECT_THROW((void)SweepAxis::parse("tax.rate=0:1:1e-9"),
+               util::PreconditionError);
+  EXPECT_THROW((void)SweepAxis::parse("tax.rate=0:1:1e-300"),
+               util::PreconditionError);
+  // A non-finite count.
+  EXPECT_THROW((void)SweepAxis::parse("credits=0:inf:1"),
+               util::PreconditionError);
+  EXPECT_THROW((void)SweepAxis::parse("credits=-inf:inf:1"),
+               util::PreconditionError);
+  // One past the cap rejects; the cap itself expands.
+  const std::string last = std::to_string(kMaxSweepAxisValues - 1);
+  EXPECT_THROW((void)SweepAxis::parse("seed=0:" +
+                                      std::to_string(kMaxSweepAxisValues)),
+               util::PreconditionError);
+  EXPECT_EQ(SweepAxis::parse("seed=0:" + last).values.size(),
+            kMaxSweepAxisValues);
+  // The wire form goes through the same parser.
+  EXPECT_THROW((void)SweepSpec::parse("seeds 1\naxis tax.rate=0:1:1e-9\n"),
+               util::PreconditionError);
+}
+
+TEST(SweepSpecSize, RejectsARunCountThatOverflows) {
+  SweepSpec sweep;
+  sweep.axes.push_back(SweepAxis::parse("credits=1,2"));
+  sweep.seeds = std::numeric_limits<std::size_t>::max() / 2 + 1;
+  EXPECT_THROW((void)sweep.num_runs(), util::PreconditionError);
+  EXPECT_THROW((void)SweepPlan(tiny_base(), sweep), util::PreconditionError);
+  EXPECT_THROW((void)SweepSpec::parse(sweep.serialize()),
+               util::PreconditionError);
+  // Points alone overflowing: four axes of 2^16 values are 2^64 points.
+  SweepSpec wide;
+  for (int k = 0; k < 4; ++k) {
+    SweepAxis axis;
+    axis.param = "credits";
+    axis.values.assign(std::size_t{1} << 16, 1.0);
+    wide.axes.push_back(std::move(axis));
+  }
+  EXPECT_THROW((void)wide.num_points(), util::PreconditionError);
+  // The largest representable count is still fine.
+  sweep.seeds = std::numeric_limits<std::size_t>::max() / 2;
+  EXPECT_EQ(sweep.num_runs(), std::numeric_limits<std::size_t>::max() - 1);
+}
+
+// ---- Dispatch order ------------------------------------------------------
+
+/// tiny_base() as an open market: 40 bootstrap peers, churn on.
+ScenarioSpec tiny_churn_base() {
+  ScenarioSpec spec = tiny_base();
+  spec.config.protocol.max_peers = 256;
+  spec.config.protocol.churn.enabled = true;
+  spec.config.protocol.churn.arrival_rate = 1.0;
+  spec.config.protocol.churn.mean_lifespan = 40.0;
+  return spec;
+}
+
+/// expected_peer_rounds of every grid point of a one-axis sweep.
+std::vector<double> point_costs(const ScenarioSpec& base, const char* axis) {
+  SweepSpec sweep;
+  sweep.axes.push_back(SweepAxis::parse(axis));
+  const SweepPlan plan(base, sweep);
+  std::vector<double> costs;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    costs.push_back(plan.expected_peer_rounds(i));
+  }
+  return costs;
+}
+
+void expect_strictly_increasing(const std::vector<double>& v,
+                                const char* what) {
+  for (std::size_t k = 1; k < v.size(); ++k) {
+    EXPECT_LT(v[k - 1], v[k]) << what << " point " << k;
+  }
+}
+
+TEST(DispatchOrder, ExpectedPeerRoundsIsMonotoneInEachCostFactor) {
+  const ScenarioSpec churn = tiny_churn_base();
+  expect_strictly_increasing(
+      point_costs(churn, "churn.arrival_rate=0.25,0.5,1,2,4"), "arrival");
+  expect_strictly_increasing(
+      point_costs(churn, "churn.mean_lifespan=5,20,40,100,500"), "lifespan");
+  expect_strictly_increasing(point_costs(churn, "horizon=10,30,60,120"),
+                             "horizon");
+  expect_strictly_increasing(point_costs(churn, "peers=10,40,80,160"),
+                             "peers");
+  // Below the steady state λL the bootstrap cohort grows toward it, above
+  // it the cohort decays — population still rises with lifespan both ways.
+  ScenarioSpec crowded = churn;
+  crowded.config.protocol.initial_peers = 200;
+  expect_strictly_increasing(
+      point_costs(crowded, "churn.mean_lifespan=5,20,40,100,500"),
+      "lifespan above the steady state");
+  expect_strictly_increasing(point_costs(tiny_base(), "peers=10,40,80"),
+                             "closed-market peers");
+}
+
+TEST(DispatchOrder, ExpectedPeerRoundsMatchesTheClosedForms) {
+  // Closed market: rounds × initial peers.
+  const SweepPlan closed(tiny_base(), SweepSpec{});
+  EXPECT_DOUBLE_EQ(closed.expected_peer_rounds(0), 60.0 * 40.0);
+  // Open market whose bootstrap cohort already sits at the steady state
+  // λL: the population is flat at 40 (arrival 1/s × lifespan 40 s).
+  const SweepPlan steady(tiny_churn_base(), SweepSpec{});
+  EXPECT_DOUBLE_EQ(steady.expected_peer_rounds(0), 60.0 * 40.0);
+  // Empty bootstrap: λL(1 − (L/T)(1 − e^(−T/L))) per round.
+  ScenarioSpec empty = tiny_churn_base();
+  empty.config.protocol.initial_peers = 0;
+  const SweepPlan grow(empty, SweepSpec{});
+  const double survival = (40.0 / 60.0) * (1.0 - std::exp(-60.0 / 40.0));
+  EXPECT_NEAR(grow.expected_peer_rounds(0), 60.0 * 40.0 * (1.0 - survival),
+              1e-9);
+  // Half-second rounds double the round count.
+  ScenarioSpec fast = tiny_base();
+  fast.config.protocol.round_seconds = 0.5;
+  EXPECT_DOUBLE_EQ(SweepPlan(fast, SweepSpec{}).expected_peer_rounds(0),
+                   120.0 * 40.0);
+}
+
+TEST(DispatchOrder, TiesKeepPlanOrder) {
+  std::vector<std::size_t> identity(12);
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  // Seeds only: every run is the same grid point.
+  SweepSpec seeds_only;
+  seeds_only.seeds = 12;
+  const SweepPlan replicas(tiny_churn_base(), seeds_only);
+  EXPECT_EQ(replicas.dispatch_order(replicas.all_runs()), identity);
+  // Axes that change neither horizon nor population tie too.
+  SweepSpec flat = tiny_sweep();
+  flat.axes.push_back(SweepAxis::parse("book.cross=0,1,2"));
+  flat.seeds = 1;
+  const SweepPlan tied(tiny_churn_base(), flat);
+  EXPECT_EQ(tied.dispatch_order(tied.all_runs()), identity);
+}
+
+TEST(DispatchOrder, UnequalRunsGoCostliestFirstWithReplicasInOrder) {
+  SweepSpec sweep;
+  sweep.axes.push_back(SweepAxis::parse("churn.arrival_rate=1,2"));
+  sweep.axes.push_back(SweepAxis::parse("churn.mean_lifespan=20,80"));
+  sweep.seeds = 2;
+  const SweepPlan plan(tiny_churn_base(), sweep);
+  // Points: (1,20) (1,80) (2,20) (2,80) — costliest is λ=2, L=80.
+  EXPECT_EQ(plan.dispatch_order(plan.all_runs()),
+            (std::vector<std::size_t>{6, 7, 2, 3, 4, 5, 0, 1}));
+  // Positions into the given list, not run indices: a shard's list.
+  const std::vector<std::size_t> odd = plan.shard(1, 2);  // 1 3 5 7
+  EXPECT_EQ(plan.dispatch_order(odd), (std::vector<std::size_t>{3, 1, 2, 0}));
+  EXPECT_TRUE(plan.dispatch_order({}).empty());
+}
+
+TEST(DispatchOrder, ThreadPoolRunsCostliestFirstAndPlacesByPosition) {
+  SweepSpec sweep;
+  sweep.axes.push_back(SweepAxis::parse("churn.arrival_rate=0.5,1,2"));
+  sweep.axes.push_back(SweepAxis::parse("churn.mean_lifespan=10,40"));
+  sweep.seeds = 2;
+  const SweepPlan plan(tiny_churn_base(), sweep);
+  const std::vector<std::size_t> runs = plan.all_runs();
+
+  std::vector<std::size_t> started;
+  ExecuteOptions options;
+  options.jobs = 1;
+  options.keep_reports = false;
+  options.on_result = [&](const RunResult& r) {
+    started.push_back(r.run_index);
+  };
+  ThreadPoolExecutor executor;
+  const std::vector<RunResult> results =
+      executor.execute(plan, runs, options);
+
+  // One worker completes runs in dispatch order: non-increasing cost.
+  ASSERT_EQ(started.size(), runs.size());
+  for (std::size_t k = 1; k < started.size(); ++k) {
+    EXPECT_GE(plan.expected_peer_rounds(started[k - 1]),
+              plan.expected_peer_rounds(started[k]))
+        << "completion " << k;
+  }
+  EXPECT_EQ(started.front(), 10u);  // λ=2, L=40, first replica
+  EXPECT_NE(started, runs);
+  // ...while every result sits in the slot of the run it answers.
+  ASSERT_EQ(results.size(), runs.size());
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    EXPECT_EQ(results[k].run_index, runs[k]);
+    EXPECT_TRUE(results[k].error.empty()) << results[k].error;
+  }
 }
 
 // ---- RunKey --------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -80,8 +81,16 @@ class Session {
     schedule.seed = util::derive_seed(root, session_index * 2 + 1);
     wait_backoff_ = util::Backoff(schedule);
   }
+  ~Session() {
+    stop_heartbeat();
+    if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
+  }
 
+  /// The lease loop. The heartbeat it starts goes quiet when the loop
+  /// ends but keeps its thread until stop_heartbeat().
   SessionOutcome run();
+  /// Ask the heartbeat thread to exit; the destructor joins it.
+  void stop_heartbeat() { stop_.store(true); }
 
  private:
   bool establish(bool resuming);
@@ -102,7 +111,8 @@ class Session {
   std::mutex io_mutex_;
   util::Socket socket_;
   std::optional<util::SocketReader> reader_;
-  std::atomic<bool> stop_{false};
+  std::atomic<bool> stop_{false};       ///< heartbeat thread: exit
+  std::atomic<bool> loop_done_{false};  ///< heartbeat: stop pinging
   std::atomic<bool> broken_{false};
   std::thread heartbeat_thread_;
 
@@ -274,12 +284,14 @@ void Session::start_heartbeat() {
       // A broken link is the main loop's to fix: pinging a dead socket
       // adds nothing, and pinging a fresh one mid-reconnect would race
       // the handshake.
-      if (broken_.load() || Clock::now() < next_beat) continue;
+      if (loop_done_.load() || broken_.load() || Clock::now() < next_beat) {
+        continue;
+      }
       next_beat = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                      std::chrono::duration<double>(
                                          heartbeat));
       const std::lock_guard<std::mutex> lock(io_mutex_);
-      if (stop_.load() || broken_.load()) continue;
+      if (stop_.load() || loop_done_.load() || broken_.load()) continue;
       std::string pong;
       if (!socket_.send_all("PING\n") ||
           reader_->read_line(pong, options_.io_timeout_seconds) !=
@@ -418,8 +430,7 @@ SessionOutcome Session::run() {
     execute_front_lease();
   }
 
-  stop_.store(true);
-  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
+  loop_done_.store(true);
   return outcome_;
 }
 
@@ -439,16 +450,27 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
   std::vector<SessionOutcome> outcomes(sessions);
   std::mutex callback_mutex;
   std::atomic<bool> sweep_done{false};
+  std::vector<std::unique_ptr<Session>> live;
+  live.reserve(sessions);
+  for (std::size_t s = 0; s < sessions; ++s) {
+    live.push_back(std::make_unique<Session>(host, port, options, executor,
+                                             callback_mutex, sweep_done, s));
+  }
   std::vector<std::thread> threads;
   threads.reserve(sessions);
   for (std::size_t s = 0; s < sessions; ++s) {
-    threads.emplace_back([&, s] {
-      Session session(host, port, options, executor, callback_mutex,
-                      sweep_done, s);
-      outcomes[s] = session.run();
-    });
+    threads.emplace_back([&, s] { outcomes[s] = live[s]->run(); });
   }
   for (auto& t : threads) t.join();
+  // The heartbeat threads end only now, after every session thread has
+  // exited. A heartbeat allocates nothing, but its exit frees the
+  // std::thread state, which binds it to a malloc arena for that moment.
+  // Heartbeats exiting while their sibling sessions still held every arena
+  // made glibc create an extra, empty one; a later thread that landed on
+  // it instead of a warm arena raised the process's peak RSS by megabytes
+  // in some runs and not others.
+  for (auto& session : live) session->stop_heartbeat();
+  live.clear();
 
   WorkerReport report;
   for (const auto& outcome : outcomes) {

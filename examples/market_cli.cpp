@@ -645,11 +645,15 @@ int main(int argc, char** argv) {
                      "parameter flags\n";
         return 64;
       }
+      const std::string source = next();
       try {
-        spec = load_scenario(next());
+        spec = load_scenario(source);
       } catch (const util::PreconditionError& e) {
-        std::cerr << e.what() << "\n";  // malformed spec file
-        return 64;
+        // Same contract as --set: exit 2 for a malformed value, 64 for an
+        // unknown key or a line that is not `key = value`.
+        const std::string msg = precondition_message(e);
+        std::cerr << source << ": " << msg << "\n";
+        return msg.rfind("bad value: ", 0) == 0 ? 2 : 64;
       }
     } else if (arg == "--list-scenarios") {
       for (const auto& name : scenario::ScenarioRegistry::builtin().names()) {

@@ -1,7 +1,6 @@
 #include "p2p/protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -27,76 +26,6 @@ std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
   return max_peers *
          static_cast<std::size_t>(std::ceil(per_peer)) * 2;
 }
-
-/// One wanted chunk's sellers as the set bits of its slot mask over the
-/// phase's eligible sellers, kWords words wide (0: `words`, a run-time
-/// width). Ascending bit position is the buyer's neighbor-list order — the
-/// tie-break order every seller choice depends on — so a walk of the mask
-/// visits the same sellers in the same order as the reference scan.
-template <std::size_t kWords>
-struct MaskSellers {
-  const std::uint64_t* mask;
-  const PeerId* eligible;
-  std::size_t words = kWords;
-
-  [[nodiscard]] std::size_t width() const {
-    if constexpr (kWords != 0) {
-      return kWords;
-    } else {
-      return words;
-    }
-  }
-  [[nodiscard]] bool empty() const {
-    for (std::size_t w = 0; w < width(); ++w) {
-      if (mask[w] != 0) return false;
-    }
-    return true;
-  }
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (std::size_t w = 0; w < width(); ++w) {
-      n += static_cast<std::size_t>(std::popcount(mask[w]));
-    }
-    return n;
-  }
-  /// The n-th (0-based) seller: the n-th set bit across the words.
-  [[nodiscard]] PeerId operator[](std::size_t n) const {
-    for (std::size_t w = 0; w < width(); ++w) {
-      const auto c = static_cast<std::size_t>(std::popcount(mask[w]));
-      if (n < c) {
-        std::uint64_t m = mask[w];
-        for (; n > 0; --n) m &= m - 1;
-        return eligible[w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-      }
-      n -= c;
-    }
-    CF_ENSURES_MSG(false, "MaskSellers: fewer sellers than requested");
-    return 0;  // unreachable
-  }
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t w = 0; w < width(); ++w) {
-      std::uint64_t m = mask[w];
-      while (m != 0) {
-        fn(eligible[w * 64 + static_cast<std::size_t>(std::countr_zero(m))]);
-        m &= m - 1;
-      }
-    }
-  }
-};
-
-/// The reference scan's sellers: an explicit list in neighbor order.
-struct ListSellers {
-  std::span<const PeerId> ids;
-
-  [[nodiscard]] bool empty() const { return ids.empty(); }
-  [[nodiscard]] std::size_t size() const { return ids.size(); }
-  [[nodiscard]] PeerId operator[](std::size_t n) const { return ids[n]; }
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (const PeerId s : ids) fn(s);
-  }
-};
 
 /// The seller with the smallest key; ties go to the earliest in neighbor
 /// order. Requires a non-empty seller set.
@@ -202,9 +131,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
     strat_enabled_ = true;
     if (st.collude_fraction > 0.0) colluder_scratch_.reserve(cfg_.max_peers);
     if (st.staked_fraction > 0.0) staked_scratch_.reserve(cfg_.max_peers);
-  }
-  if (cfg_.weight_sellers_by_fill) {
-    cfg_.seller_choice = ProtocolConfig::SellerChoice::kFillWeighted;
   }
   if (cfg_.injection.enabled) {
     CF_EXPECTS(cfg_.injection.interval_seconds > 0.0);
@@ -812,11 +738,15 @@ bool StreamingProtocol::is_book_seller(PeerId id) const {
          cfg_.book.seller_fraction * 16777216.0;
 }
 
+// The pick policies run once per wanted chunk. Their instantiations over
+// CandidateMasks::Sellers are ordinary (externally visible) templates that
+// GCC would otherwise call out of line at every chunk, which costs a few
+// percent of the fig11 round rate, so both are forced inline into the
+// purchase phase.
 template <class Sellers>
-bool StreamingProtocol::choose_seller(PeerId buyer, ChunkId chunk,
-                                      const Sellers& sellers,
-                                      PeerId& seller_out,
-                                      econ::Credits& price_out) {
+[[gnu::always_inline]] inline bool StreamingProtocol::choose_seller(
+    PeerId buyer, ChunkId chunk, const Sellers& sellers, PeerId& seller_out,
+    econ::Credits& price_out) {
   if (sellers.empty()) return false;
   if (book_ != nullptr) {
     return book_cross(buyer, sellers, seller_out, price_out);
@@ -850,9 +780,9 @@ bool StreamingProtocol::choose_seller(PeerId buyer, ChunkId chunk,
 }
 
 template <class Sellers>
-bool StreamingProtocol::book_cross(PeerId buyer, const Sellers& sellers,
-                                   PeerId& seller_out,
-                                   econ::Credits& price_out) {
+[[gnu::always_inline]] inline bool StreamingProtocol::book_cross(
+    PeerId buyer, const Sellers& sellers, PeerId& seller_out,
+    econ::Credits& price_out) {
   using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
   if (cfg_.book.cross == Cross::kFillWeighted) {
     // Demand spread across the book's depth: candidate asks weighted by
@@ -927,56 +857,42 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   // sellers' ownership and aliveness cannot change until the phase ends
   // (only this buyer gains chunks, and churn events never interleave with a
   // round), and upload budgets and resting asks only *drain*, which
-  // remove_drained_seller mirrors the moment it happens. With no eligible
-  // seller at all every wanted chunk fails on availability, so the phase
-  // ends here.
+  // CandidateMasks::drop mirrors the moment it happens. The eligibility
+  // filter is hoisted for the same reason. No aliveness check: a departed
+  // peer holds no overlay edges, and its ownership bitmap is cleared on
+  // departure, so even a stale entry could never contribute a candidate.
+  // With no eligible seller at all every wanted chunk fails on
+  // availability, so the phase ends here.
   const bool book_mode = book_ != nullptr;
-  const bool indexed = cfg_.use_owner_index;
-  if (indexed &&
-      !build_purchase_candidates(neighbors, missing, buyer_buffer.base())) {
+  const bool any_eligible = candidates_.build(
+      owner_index_, neighbors, missing, buyer_buffer.base(),
+      [this, book_mode](PeerId s) {
+        return upload_budget_[s] >= 1.0 && (!book_mode || book_->has_ask(s));
+      });
+  candidates_hist_->add(candidates_.num_eligible());
+  if (!any_eligible) {
+    ++*phase_empty_ct_;
     peers_.failed_availability(buyer_id) += missing.size();
     return;
+  }
+  switch (candidates_.words()) {
+    case 1: ++*phase_one_word_ct_; break;
+    case 2: ++*phase_two_word_ct_; break;
+    default: ++*phase_generic_ct_; break;
   }
 
   std::size_t purchased = 0;
   for (ChunkId chunk : missing) {
     if (purchased >= purchase_cap) break;
-    if (budget < 1.0 && budget <= 0.0) break;
+    if (budget <= 0.0) break;
     PeerId seller_id = 0;
     econ::Credits price = 0;
-    const auto choose = [&](const auto& sellers) {
-      return choose_seller(buyer_id, chunk, sellers, seller_id, price);
-    };
-    bool have_seller = false;
-    if (indexed) {
-      // One mask walk for every seller choice and book crossing, at the
-      // phase's mask width.
-      const std::uint64_t* mask =
-          slot_masks_.data() + phase_slot(chunk) * eligible_words_;
-      switch (eligible_words_) {
-        case 1:
-          have_seller = choose(MaskSellers<1>{mask, eligible_.data()});
-          break;
-        case 2:
-          have_seller = choose(MaskSellers<2>{mask, eligible_.data()});
-          break;
-        default:
-          have_seller = choose(
-              MaskSellers<0>{mask, eligible_.data(), eligible_words_});
-          break;
-      }
-    } else {
-      // Reference path (use_owner_index = false): the original O(degree)
-      // per-chunk neighbor scan, kept as the equivalence oracle; it must
-      // stay trace-identical to the indexed walk above.
-      seller_ids_.clear();
-      for (const PeerId nbr : neighbors) {
-        if (!peers_.alive(nbr) || upload_budget_[nbr] < 1.0) continue;
-        if (book_mode && !book_->has_ask(nbr)) continue;
-        if (peers_.buffer(nbr).has(chunk)) seller_ids_.push_back(nbr);
-      }
-      have_seller = choose(ListSellers{seller_ids_});
-    }
+    // One mask walk for every seller choice and book crossing, at the
+    // phase's mask width.
+    const bool have_seller =
+        candidates_.visit(chunk, [&](const auto& sellers) {
+          return choose_seller(buyer_id, chunk, sellers, seller_id, price);
+        });
     if (!have_seller) {
       ++peers_.failed_availability(buyer_id);
       continue;
@@ -1013,9 +929,9 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
         ++*book_bids_matched_;
       }
     }
-    if (indexed && (upload_budget_[seller_id] < 1.0 ||
-                    (book_mode && !book_->has_ask(seller_id)))) {
-      remove_drained_seller(seller_id, missing);
+    if (upload_budget_[seller_id] < 1.0 ||
+        (book_mode && !book_->has_ask(seller_id))) {
+      candidates_.drop(seller_id, missing);
     }
     budget -= static_cast<double>(price);
     ++purchased;
@@ -1042,109 +958,12 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   }
 }
 
-bool StreamingProtocol::build_purchase_candidates(
-    std::span<const PeerId> neighbors, std::span<const ChunkId> wanted,
-    ChunkId window_base) {
-  phase_base_ = window_base;
-  phase_base_slot_ = owner_index_.slot(window_base);
-  // Hoisted per-seller filter: a seller that entered the phase without
-  // upload budget (or, in the order book, without a resting ask) can never
-  // regain it mid-phase (both only drain; mid-phase drains are handled by
-  // remove_drained_seller). No aliveness check: a departed peer holds no
-  // overlay edges — it cannot appear in a neighbor list — and its
-  // ownership bitmap is cleared on departure, so even a stale entry could
-  // never contribute a candidate bit.
-  eligible_.clear();
-  if (book_ == nullptr) {
-    for (const PeerId nbr : neighbors) {
-      if (upload_budget_[nbr] >= 1.0) eligible_.push_back(nbr);
-    }
-  } else {
-    for (const PeerId nbr : neighbors) {
-      if (upload_budget_[nbr] >= 1.0 && book_->has_ask(nbr)) {
-        eligible_.push_back(nbr);
-      }
-    }
-  }
-  candidates_hist_->add(eligible_.size());
-  if (eligible_.empty()) {
-    ++*phase_empty_ct_;
-    return false;
-  }
-  eligible_words_ = (eligible_.size() + 63) / 64;
-  const std::size_t needed = cfg_.window_chunks * eligible_words_;
-  if (slot_masks_.size() < needed) slot_masks_.resize(needed);
-  switch (eligible_words_) {
-    case 1: ++*phase_one_word_ct_; break;
-    case 2: ++*phase_two_word_ct_; break;
-    default: ++*phase_generic_ct_; break;
-  }
-
-  if (owner_index_.words_per_peer() == 1 && eligible_words_ == 1) {
-    // Dominant configuration (window ≤ 64 chunks, ≤ 64 eligible sellers):
-    // every mask is one word, so the scatter loop runs without the generic
-    // path's per-word indexing. Same candidate sets, same neighbor-order
-    // bit layout — outcomes are bit-identical.
-    std::uint64_t miss = 0;
-    for (const ChunkId c : wanted) {
-      const std::size_t s = phase_slot(c);
-      miss |= std::uint64_t{1} << s;
-      slot_masks_[s] = 0;
-    }
-    for (std::size_t j = 0; j < eligible_.size(); ++j) {
-      std::uint64_t m = owner_index_.owned(eligible_[j])[0] & miss;
-      const std::uint64_t bit = std::uint64_t{1} << j;
-      while (m != 0) {
-        slot_masks_[static_cast<std::size_t>(std::countr_zero(m))] |= bit;
-        m &= m - 1;
-      }
-    }
-    return true;
-  }
-
-  missing_mask_.assign(owner_index_.words_per_peer(), 0);
-  for (const ChunkId c : wanted) {
-    const std::size_t s = phase_slot(c);
-    missing_mask_[s / 64] |= std::uint64_t{1} << (s % 64);
-    std::uint64_t* row = slot_masks_.data() + s * eligible_words_;
-    std::fill_n(row, eligible_words_, std::uint64_t{0});
-  }
-  for (std::size_t j = 0; j < eligible_.size(); ++j) {
-    const auto words = owner_index_.owned(eligible_[j]);
-    const std::uint64_t bit = std::uint64_t{1} << (j & 63);
-    const std::size_t word_j = j >> 6;
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t m = words[w] & missing_mask_[w];
-      while (m != 0) {
-        const auto s = w * 64 + static_cast<std::size_t>(std::countr_zero(m));
-        m &= m - 1;
-        slot_masks_[s * eligible_words_ + word_j] |= bit;
-      }
-    }
-  }
-  return true;
-}
-
 std::size_t StreamingProtocol::uniform_pick(std::size_t num_candidates) {
   const double u = rng_.uniform() * static_cast<double>(num_candidates);
   std::size_t pick =
       u <= 1.0 ? 0 : static_cast<std::size_t>(std::ceil(u)) - 1;
   if (pick >= num_candidates) pick = num_candidates - 1;
   return pick;
-}
-
-void StreamingProtocol::remove_drained_seller(
-    PeerId seller, std::span<const ChunkId> wanted) {
-  // Rare (a seller drains at most once per buyer phase), so a linear scan
-  // for its bit position is fine.
-  std::size_t j = 0;
-  while (j < eligible_.size() && eligible_[j] != seller) ++j;
-  if (j == eligible_.size()) return;
-  const std::uint64_t clear = ~(std::uint64_t{1} << (j & 63));
-  const std::size_t word_j = j >> 6;
-  for (const ChunkId c : wanted) {
-    slot_masks_[phase_slot(c) * eligible_words_ + word_j] &= clear;
-  }
 }
 
 std::vector<double> StreamingProtocol::balance_snapshot() const {

@@ -81,16 +81,10 @@ struct ProtocolConfig {
   std::size_t window_chunks = 48;  ///< playback window size
   std::size_t seed_fanout = 6;     ///< free copies of each fresh chunk
 
-  /// Target mean degree of the bootstrap scale-free overlay (and the knob
-  /// that sizes the purchase phase's per-chunk seller scans).
+  /// Target mean degree of the bootstrap scale-free overlay (and so the
+  /// number of candidate sellers a buyer phase masks: above 64 eligible
+  /// neighbors its slot masks grow past one word).
   double overlay_mean_degree = 20.0;
-
-  /// Resolve purchase candidates — direct seller choice and order-book
-  /// crossing alike — through the incrementally-maintained chunk→owner
-  /// bitmap index (word-wide AND walks) instead of rescanning every
-  /// neighbor per chunk. Both paths produce bit-identical markets — the
-  /// flag exists so tests and perf benches can compare them.
-  bool use_owner_index = true;
 
   /// Mean chunks/sec a peer can serve. The ratio to stream_rate is the
   /// system's capacity headroom: at ~1.25x the swarm is supply-limited and
@@ -136,10 +130,6 @@ struct ProtocolConfig {
   ///    paper defers to future work.
   enum class SellerChoice { kAvailabilityUniform, kFillWeighted, kCheapestAsk };
   SellerChoice seller_choice = SellerChoice::kAvailabilityUniform;
-
-  /// Back-compat convenience used by older configs/tests: true selects
-  /// kFillWeighted at construction time.
-  bool weight_sellers_by_fill = false;
 
   /// How purchases clear:
   ///  * kDirect — the paper's market: the buyer picks a seller per
@@ -345,30 +335,6 @@ class StreamingProtocol {
   void run_round(double now);
   void seed_new_chunks(double now, ChunkId head);
   void peer_purchase_phase(PeerId buyer_id, double now);
-  /// Fill the per-slot candidate bitmasks for this buyer: bit j of slot s
-  /// set ⟺ eligible_[j] owns the wanted chunk at slot s. eligible_ holds
-  /// the buyer's upload-budgeted neighbors — in the order book, those that
-  /// also have a resting ask — in neighbor-list order (the tie-break order
-  /// the seller choice depends on), so ascending bit position IS neighbor
-  /// order. Returns false (and builds nothing) when no neighbor is
-  /// eligible.
-  bool build_purchase_candidates(std::span<const PeerId> neighbors,
-                                 std::span<const ChunkId> wanted,
-                                 ChunkId window_base);
-  /// OwnerIndex::slot without the per-chunk hardware divide: all chunks a
-  /// phase touches sit in [phase_base_, phase_base_ + window), so one
-  /// wrapping add from the base slot (computed once per phase) suffices.
-  [[nodiscard]] std::size_t phase_slot(ChunkId c) const {
-    std::size_t s =
-        phase_base_slot_ + static_cast<std::size_t>(c - phase_base_);
-    if (s >= cfg_.window_chunks) s -= cfg_.window_chunks;
-    return s;
-  }
-  /// A seller can no longer serve mid-phase (upload budget below 1, or
-  /// its resting ask drained or expired): clear its bit from every wanted
-  /// slot so later chunks in this phase skip it (the indexed equivalent of
-  /// the reference scan's per-chunk budget and ask checks).
-  void remove_drained_seller(PeerId seller, std::span<const ChunkId> wanted);
   /// Order-book round opening: every participating seller posts (or
   /// replaces) its ask — quantity from this round's upload budget, price
   /// from the ask-pricing policy (adaptive repricing on its cadence).
@@ -379,19 +345,16 @@ class StreamingProtocol {
   /// Pick the seller and price for one wanted chunk among `sellers` (its
   /// candidates, in neighbor-list order): the book crossing in kOrderBook
   /// mode, else the configured seller choice at the pricing scheme's
-  /// price. `Sellers` is a slot mask over eligible_ (the owner-index walk,
-  /// at the phase's word width) or the reference scan's explicit list;
-  /// both yield the same picks and RNG draws. Returns false when no seller
-  /// qualifies.
+  /// price. `Sellers` is the chunk's CandidateMasks::Sellers slot mask, at
+  /// the phase's word width. Returns false when no seller qualifies.
   template <class Sellers>
   bool choose_seller(PeerId buyer, ChunkId chunk, const Sellers& sellers,
                      PeerId& seller_out, econ::Credits& price_out);
   /// Cross the book for one wanted chunk over its non-empty candidate
   /// sellers — owner + upload budget + resting ask, resolved through the
-  /// owner index (the per-chunk neighbor scan survives only as the
-  /// use_owner_index = false oracle) — per the crossing strategy. Returns
-  /// false when no ask is crossable: for kLimit, best-ask-above-limit
-  /// posts a resting bid instead.
+  /// owner index — per the crossing strategy. Returns false when no ask is
+  /// crossable: for kLimit, best-ask-above-limit posts a resting bid
+  /// instead.
   template <class Sellers>
   bool book_cross(PeerId buyer, const Sellers& sellers, PeerId& seller_out,
                   econ::Credits& price_out);
@@ -399,7 +362,7 @@ class StreamingProtocol {
   /// Rng::discrete over k all-ones weights draws one uniform() and returns
   /// the first i with u*k - (i+1) <= 0, i.e. ceil(u*k) - 1 (0 when
   /// u*k <= 1) — computed here with the identical RNG draw and identical
-  /// pick, so both purchase paths stay bit-for-bit equal to the discrete()
+  /// pick, so the market stays bit-for-bit equal to the discrete()
   /// formulation without materializing weights or walking the cumsum.
   [[nodiscard]] std::size_t uniform_pick(std::size_t num_candidates);
   void schedule_next_arrival();
@@ -447,15 +410,8 @@ class StreamingProtocol {
   std::vector<double> upload_budget_;   ///< chunks a peer may still serve
   std::vector<PeerId> round_order_;
   std::vector<double> seller_weights_;  ///< fill-weighted pick weights
-  std::vector<PeerId> seller_ids_;      ///< reference scan's candidates
-  // Per-buyer-phase scratch for the indexed path: the wanted-chunk mask,
-  // the buyer's eligible neighbors (upload budget, plus a resting ask in
-  // the order book; in neighbor-list order), and one bitmask over those
-  // neighbors per window slot (row-major, eligible_words_ words per slot).
-  std::vector<std::uint64_t> missing_mask_;
-  std::vector<PeerId> eligible_;
-  std::vector<std::uint64_t> slot_masks_;
-  std::size_t eligible_words_ = 0;
+  /// Per-buyer-phase candidate sellers of every wanted chunk.
+  CandidateMasks candidates_;
   std::vector<ChunkId> missing_scratch_;
   /// Buyer's neighbor list, materialized once per purchase phase from the
   /// overlay's edge-pool chain (allocation-free at high-water capacity).
@@ -468,8 +424,6 @@ class StreamingProtocol {
   /// Cached cfg_.strat.enabled(): the single branch every strategy hook
   /// sits behind in the default (all-honest) path.
   bool strat_enabled_ = false;
-  ChunkId phase_base_ = 0;          ///< current phase's window base
-  std::size_t phase_base_slot_ = 0; ///< its ring slot (one divide per phase)
 
   // Hot-loop counter cells cached once (stable for the registry lifetime)
   // so per-event accounting skips the by-name map lookup — and the

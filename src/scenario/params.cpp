@@ -110,14 +110,6 @@ const std::vector<ParamDesc>& table() {
       {"overlay_degree", "target mean degree of the bootstrap overlay",
        [](const MarketConfig& c) { return c.protocol.overlay_mean_degree; },
        [](MarketConfig& c, double v) { c.protocol.overlay_mean_degree = v; }},
-      {"owner_index", "purchase via the chunk->owner index (0/1)",
-       [](const MarketConfig& c) {
-         return bool_value(c.protocol.use_owner_index);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.use_owner_index = v != 0.0;
-       },
-       Kind::kBool},
       {"upload_capacity", "mean chunks/sec a peer can serve",
        [](const MarketConfig& c) { return c.protocol.upload_capacity; },
        [](MarketConfig& c, double v) { c.protocol.upload_capacity = v; }},

@@ -81,14 +81,6 @@ class SweepRunner {
   [[nodiscard]] const ScenarioSpec& base() const { return base_; }
   [[nodiscard]] const SweepSpec& sweep() const { return sweep_; }
 
-  /// Deprecated shim for the pre-split API; use the free
-  /// scenario::standard_metrics (executor.hpp) instead.
-  [[nodiscard]] static std::vector<std::pair<std::string, double>>
-  standard_metrics(const core::MarketConfig& cfg,
-                   const core::MarketReport& report) {
-    return scenario::standard_metrics(cfg, report);
-  }
-
  private:
   ScenarioSpec base_;
   SweepSpec sweep_;

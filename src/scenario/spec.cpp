@@ -101,10 +101,14 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     const std::string value_str(value_text);
     const double value = std::strtod(value_str.c_str(), &end);
     CF_EXPECTS_MSG(end != value_str.c_str() && *end == '\0',
-                   "bad numeric value for " + std::string(key) + ": " +
-                       value_str);
-    CF_EXPECTS_MSG(spec.set(key, value),
-                   "unknown scenario parameter: " + std::string(key));
+                   "bad value: " + std::string(key) +
+                       ": not a number: " + value_str);
+    // The same typed checks --set applies: a spec file must not slip a
+    // wrapped count or an unrepresentable seed past them.
+    if (const auto err = spec.set_checked(key, value)) {
+      const bool unknown_key = err->rfind("unknown parameter", 0) == 0;
+      CF_EXPECTS_MSG(false, unknown_key ? *err : "bad value: " + *err);
+    }
   }
   spec.description = std::move(description);
   return spec;

@@ -53,8 +53,10 @@ struct ScenarioSpec {
   /// an instantiated spec's derived 64-bit seed is only hashed, never
   /// re-read).
   [[nodiscard]] std::string serialize() const;
-  /// Parse the text form; throws util::PreconditionError on malformed
-  /// input or unknown keys.
+  /// Parse the text form, checking every value as set_checked does;
+  /// throws util::PreconditionError on malformed input or unknown keys. A
+  /// value error's message starts with "bad value: ", an unknown key's with
+  /// "unknown parameter".
   [[nodiscard]] static ScenarioSpec parse(const std::string& text);
 };
 

@@ -168,7 +168,7 @@ TEST(Protocol, CondensedRegimeProducesInequality) {
     if (condensed) {
       cfg.initial_credits = 200;
       cfg.upload_capacity = 8.0;
-      cfg.weight_sellers_by_fill = true;
+      cfg.seller_choice = ProtocolConfig::SellerChoice::kFillWeighted;
       cfg.pricing.kind = econ::PricingKind::kPoisson;
       cfg.pricing.poisson_mean = 1.0;
     } else {

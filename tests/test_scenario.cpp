@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/market.hpp"
 #include "scenario/scenario.hpp"
+#include "util/assert.hpp"
 
 namespace creditflow::scenario {
 namespace {
@@ -93,6 +95,44 @@ TEST(ScenarioSpec, ParseRejectsGarbage) {
                util::PreconditionError);
   EXPECT_THROW((void)ScenarioSpec::parse("just some words"),
                util::PreconditionError);
+}
+
+/// The message parse throws for `text`, without the assertion preamble;
+/// empty when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)ScenarioSpec::parse(text);
+  } catch (const util::PreconditionError& e) {
+    const std::string msg = e.what();
+    return msg.substr(msg.rfind(" — ") + std::string(" — ").size());
+  }
+  return "";
+}
+
+TEST(ScenarioSpec, ParseChecksValuesLikeSet) {
+  // A spec file gets the typed checks --set applies: a negative count
+  // once wrapped to a huge unsigned window, a fractional count or a
+  // non-0/1 flag was truncated silently, and a seed of 2^53 or more came
+  // back from its text form as another seed.
+  EXPECT_EQ(parse_error("window_chunks = -5"),
+            "bad value: window_chunks: count must be a non-negative "
+            "integer, got -5");
+  EXPECT_EQ(parse_error("window_chunks = 4.7"),
+            "bad value: window_chunks: count must be a non-negative "
+            "integer, got 4.7");
+  EXPECT_EQ(parse_error("trace = 0.5"),
+            "bad value: trace: flag must be 0 or 1, got 0.5");
+  EXPECT_EQ(parse_error("seed = 9007199254740992"),
+            "bad value: seed: seed must be an integer in [0, 2^53), got "
+            "9007199254740992");
+  EXPECT_EQ(parse_error("warmup = 2"),
+            "bad value: warmup: fraction must be in [0, 1], got 2");
+  EXPECT_EQ(parse_error("credits = notanumber"),
+            "bad value: credits: not a number: notanumber");
+  // Unknown keys keep their own message (a usage error, not a bad value);
+  // owner_index is one since the purchase phase has a single kernel.
+  EXPECT_EQ(parse_error("owner_index = 1"), "unknown parameter: owner_index");
+  EXPECT_EQ(parse_error("seed = 9007199254740991\nwindow_chunks = 130"), "");
 }
 
 TEST(ScenarioSpec, MaterializeResolvesWarmup) {
@@ -183,7 +223,8 @@ TEST(Registry, BuiltinPresetsResolve) {
     EXPECT_EQ(spec.name, name);
     EXPECT_FALSE(spec.description.empty());
     // Every preset must be constructible as a market (validates the
-    // config against every protocol precondition) and round-trip safe.
+    // config against every protocol precondition) and round-trip safe
+    // through the checked parse.
     const auto cfg = spec.materialize();
     EXPECT_NO_THROW(core::CreditMarket market(cfg));
     EXPECT_EQ(ScenarioSpec::parse(spec.serialize()).serialize(),

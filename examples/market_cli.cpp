@@ -153,11 +153,19 @@ double parse_double(const char* s, const char* argv0) {
   return v;
 }
 
+/// The parameter flags' setter, with --set's checks and exit codes: a
+/// value the key cannot take exits 2 with one diagnostic line (never an
+/// unsigned wrap or a silent truncation), an unknown key is a usage error.
 void apply_or_die(creditflow::scenario::ScenarioSpec& spec,
-                  const std::string& key, double value, const char* argv0) {
-  if (!spec.set(key, value)) {
-    std::cerr << "unknown parameter: " << key << "\n";
-    usage(argv0);
+                  const std::string& flag, const std::string& key,
+                  double value, const char* argv0) {
+  if (const auto err = spec.set_checked(key, value)) {
+    if (err->rfind("unknown parameter", 0) == 0) {
+      std::cerr << *err << "\n";
+      usage(argv0);
+    }
+    std::cerr << flag << ": " << *err << "\n";
+    std::exit(2);
   }
 }
 
@@ -635,7 +643,7 @@ int main(int argc, char** argv) {
     };
     auto set_param = [&](const std::string& key, double value) {
       spec_overridden = true;
-      apply_or_die(spec, key, value, argv[0]);
+      apply_or_die(spec, arg, key, value, argv[0]);
     };
     if (arg == "--scenario") {
       if (spec_overridden) {

@@ -12,16 +12,20 @@ Benchmarks are matched by exact name. Benchmarks present only in the run
 skipped, so adding a benchmark never requires touching the gate.
 
 Baselines are machine-scoped: absolute microseconds from the CI runner
-class. The tolerance (default 15%, overridable with --tolerance or the
-BENCH_TOLERANCE env var) absorbs runner jitter; refresh the baseline with
---update after an intentional perf change.
+class. Every comparison prints the machine class of the baseline and of
+the run (num_cpus and the L2/L3 sizes from google-benchmark's "context"
+block), and --update refuses to replace a baseline with a run from another
+machine class. The tolerance (default 15%, overridable with --tolerance or
+the BENCH_TOLERANCE env var) absorbs runner jitter; refresh the baseline
+with --update after an intentional perf change.
 
   check_bench_regression.py --baseline bench/baselines/B.json --run out.json
   check_bench_regression.py --baseline B.json --run out.json --update
   check_bench_regression.py --self-test
 
 --self-test proves the gate itself: it must go red on a synthetically
-inflated result (+30% on a gated counter) and green on an identical one.
+inflated result (+30% on a gated counter) and green on an identical one,
+and --update must refuse a run from another machine class.
 """
 
 from __future__ import annotations
@@ -32,15 +36,31 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 
 GATED_COUNTERS = ("round_us_per_round", "phase_us_per_round")
 REPORT_ONLY_COUNTERS = ("peak_rss_bytes", "bytes_per_peer")
 DEFAULT_TOLERANCE = 0.15
 
 
-def load_benchmarks(path: str) -> dict[str, dict]:
+def load_doc(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def machine_class(doc: dict) -> str:
+    """num_cpus and the L2/L3 cache sizes from a google-benchmark export's
+    context block; "unknown" for a part the export does not carry."""
+    ctx = doc.get("context", {})
+    sizes = {}
+    for cache in ctx.get("caches", []):
+        if cache.get("level") in (2, 3) and cache.get("type") != "Instruction":
+            sizes[cache["level"]] = f"{int(cache['size']) // 1024}K"
+    return (f"num_cpus={ctx.get('num_cpus', 'unknown')} "
+            f"L2={sizes.get(2, 'unknown')} L3={sizes.get(3, 'unknown')}")
+
+
+def benchmarks_of(doc: dict) -> dict[str, dict]:
     out: dict[str, dict] = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
@@ -94,12 +114,20 @@ def compare(baseline: dict[str, dict], run: dict[str, dict],
 
 def run_gate(baseline_path: str, run_path: str, tolerance: float,
              update: bool) -> int:
+    base_doc, run_doc = load_doc(baseline_path), load_doc(run_path)
+    base_class, run_class = machine_class(base_doc), machine_class(run_doc)
+    print(f"baseline machine: {base_class}")
+    print(f"run machine:      {run_class}")
     if update:
+        if base_class != run_class:
+            print("ERROR: refusing --update: the run comes from another "
+                  "machine class than the baseline")
+            return 1
         shutil.copyfile(run_path, baseline_path)
         print(f"baseline updated: {baseline_path} <- {run_path}")
         return 0
-    baseline = load_benchmarks(baseline_path)
-    run = load_benchmarks(run_path)
+    baseline = benchmarks_of(base_doc)
+    run = benchmarks_of(run_doc)
     if not baseline:
         print(f"ERROR: no benchmarks in baseline {baseline_path}")
         return 1
@@ -180,8 +208,38 @@ def self_test() -> int:
         print("SELF-TEST FAIL: unmatched benchmarks not reported")
         return 1
 
+    # --update keeps a baseline within its machine class.
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name: str, doc: dict) -> str:
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            return path
+
+        def context(cpus: int, l3: int) -> dict:
+            return {"num_cpus": cpus, "caches": [
+                {"type": "Data", "level": 1, "size": 49152},
+                {"type": "Unified", "level": 2, "size": 2097152},
+                {"type": "Unified", "level": 3, "size": l3}]}
+
+        base_doc = dict(baseline, context=context(1, 272629760))
+        base_path = write("baseline.json", base_doc)
+        other = write("other.json",
+                      dict(baseline, context=context(4, 272629760)))
+        if run_gate(base_path, other, DEFAULT_TOLERANCE, update=True) == 0:
+            print("SELF-TEST FAIL: --update accepted another machine class")
+            return 1
+        if load_doc(base_path) != base_doc:
+            print("SELF-TEST FAIL: refused --update still wrote the baseline")
+            return 1
+        same = write("same.json", dict(baseline, context=context(1, 272629760)))
+        if run_gate(base_path, same, DEFAULT_TOLERANCE, update=True) != 0:
+            print("SELF-TEST FAIL: --update refused the same machine class")
+            return 1
+
     print("SELF-TEST PASS: gate is red on +30%, green on identity, "
-          "+10%, RSS-only inflation, and unmatched benchmarks")
+          "+10%, RSS-only inflation, and unmatched benchmarks; --update "
+          "refuses another machine class")
     return 0
 
 

@@ -28,12 +28,11 @@ JacksonMapping mapping_from_market(const p2p::StreamingProtocol& protocol) {
   JacksonMapping m;
   m.transfer = queueing::TransferMatrix(n);
   m.service_rates.resize(n);
-  std::vector<p2p::PeerId> nbrs;
   for (std::uint32_t k = 0; k < n; ++k) {
     const auto& peer = protocol.peer(alive[k]);
     m.service_rates[k] = peer.base_spend_rate;
     std::vector<queueing::RoutingEntry> row;
-    protocol.overlay().neighbors_into(alive[k], nbrs);
+    const auto nbrs = protocol.overlay().neighbors(alive[k]);
     std::vector<std::uint32_t> dense_nbrs;
     dense_nbrs.reserve(nbrs.size());
     for (auto nb : nbrs) {

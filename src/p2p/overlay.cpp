@@ -10,95 +10,101 @@ namespace creditflow::p2p {
 
 namespace {
 
-/// Default pool sizing: room for twice a paper-scale overlay's steady-state
+/// Default sizing: room for twice a paper-scale overlay's steady-state
 /// degree, floored so tiny test overlays never starve.
 std::size_t default_edge_cells(std::size_t max_peers) {
   return std::max<std::size_t>(256, max_peers * 64);
 }
 
+/// Room a row takes when it moves to the tail: twice its old room, and at
+/// least this much, so a fresh row does not move on each of its first
+/// links.
+constexpr std::size_t kMinRowCapacity = 8;
+
+/// Marks "no row needs an extra entry" in lay_out_rows.
+constexpr std::uint32_t kNoPeer = 0xffffffffu;
+
 }  // namespace
 
 Overlay::Overlay(std::size_t max_peers, std::size_t edge_cells)
-    : cells_(edge_cells == 0 ? default_edge_cells(max_peers) : edge_cells),
-      row_head_(max_peers, kNullCell),
-      row_tail_(max_peers, kNullCell),
-      degree_(max_peers, 0),
+    : half_(edge_cells == 0 ? default_edge_cells(max_peers) : edge_cells),
+      arena_(std::make_unique_for_overwrite<std::uint32_t[]>(2 * half_)),
+      rows_(max_peers),
       active_words_((max_peers + 63) / 64, 0) {
   CF_EXPECTS(max_peers > 0);
-  CF_EXPECTS(cells_.size() >= 2);  // one undirected edge = two cells
+  CF_EXPECTS(half_ >= 2);  // one undirected edge = two entries
+  CF_EXPECTS_MSG(2 * half_ <= 0xffffffffu, "row arena exceeds 32-bit offsets");
   active_list_.reserve(max_peers);
-  reset_free_list();
 }
 
-void Overlay::reset_free_list() {
-  for (std::size_t c = 0; c + 1 < cells_.size(); ++c) {
-    cells_[c].next = static_cast<std::uint32_t>(c + 1);
+void Overlay::lay_out_rows(std::size_t base, std::uint32_t grow, bool move) {
+  const std::size_t live = cells_in_use_ + (grow == kNoPeer ? 0 : 1);
+  CF_ENSURES(live <= half_);  // admission by count keeps this true
+  // Slack is half a row's size while the half can spare it; otherwise it
+  // is cut back pro rata, so at least half the free room stays at the tail.
+  const std::size_t share = std::min(live, half_ - live);
+  std::uint32_t* const arena = arena_.get();
+  std::size_t w = base;
+  for (std::uint32_t p = 0; p < rows_.size(); ++p) {
+    Row& r = rows_[p];
+    const std::size_t want = r.degree + (p == grow ? 1 : 0);
+    if (move) std::copy_n(arena + r.begin, r.degree, arena + w);
+    r.begin = static_cast<std::uint32_t>(w);
+    const std::size_t slack = live == 0 ? 0 : want * share / (2 * live);
+    r.capacity = static_cast<std::uint32_t>(want + slack);
+    w += r.capacity;
   }
-  cells_.back().next = kNullCell;
-  free_head_ = 0;
-  cells_in_use_ = 0;
+  half_base_ = base;
+  tail_ = w;
 }
 
-std::uint32_t Overlay::alloc_cell() {
-  if (free_head_ == kNullCell) return kNullCell;
-  const std::uint32_t c = free_head_;
-  free_head_ = cells_[c].next;
-  ++cells_in_use_;
-  return c;
-}
-
-void Overlay::free_cell(std::uint32_t cell) {
-  cells_[cell].next = free_head_;
-  free_head_ = cell;
-  --cells_in_use_;
+void Overlay::grow_row(std::uint32_t peer) {
+  Row& r = rows_[peer];
+  const std::size_t cap =
+      std::max<std::size_t>(2 * std::size_t{r.capacity}, kMinRowCapacity);
+  if (tail_ + cap > half_base_ + half_) {
+    // The live half is out of room: copy every row into the other half.
+    lay_out_rows(half_base_ == 0 ? half_ : 0, peer, /*move=*/true);
+    return;
+  }
+  std::copy_n(arena_.get() + r.begin, r.degree, arena_.get() + tail_);
+  r.begin = static_cast<std::uint32_t>(tail_);
+  r.capacity = static_cast<std::uint32_t>(cap);
+  tail_ += cap;
 }
 
 void Overlay::row_push_back(std::uint32_t from, std::uint32_t to) {
-  const std::uint32_t c = alloc_cell();
-  CF_ENSURES(c != kNullCell);  // callers check pool headroom first
-  cells_[c].to = to;
-  cells_[c].next = kNullCell;
-  if (row_tail_[from] == kNullCell) {
-    row_head_[from] = c;
-  } else {
-    cells_[row_tail_[from]].next = c;
-  }
-  row_tail_[from] = c;
-  ++degree_[from];
-}
-
-void Overlay::row_clear(std::uint32_t peer) {
-  std::uint32_t c = row_head_[peer];
-  while (c != kNullCell) {
-    const std::uint32_t next = cells_[c].next;
-    free_cell(c);
-    c = next;
-  }
-  row_head_[peer] = kNullCell;
-  row_tail_[peer] = kNullCell;
-  degree_[peer] = 0;
+  if (rows_[from].degree == rows_[from].capacity) grow_row(from);
+  Row& r = rows_[from];
+  arena_[r.begin + r.degree] = to;
+  ++r.degree;
+  ++cells_in_use_;
 }
 
 void Overlay::init_from_graph(const graph::Graph& g) {
-  CF_EXPECTS(g.num_nodes() <= row_head_.size());
-  CF_EXPECTS_MSG(2 * g.num_edges() <= cells_.size(),
-                 "edge pool smaller than the bootstrap graph");
-  std::fill(row_head_.begin(), row_head_.end(), kNullCell);
-  std::fill(row_tail_.begin(), row_tail_.end(), kNullCell);
-  std::fill(degree_.begin(), degree_.end(), 0u);
-  reset_free_list();
+  CF_EXPECTS(g.num_nodes() <= rows_.size());
+  CF_EXPECTS_MSG(2 * g.num_edges() <= half_,
+                 "edge arena smaller than the bootstrap graph");
+  std::fill(rows_.begin(), rows_.end(), Row{});
+  cells_in_use_ = 0;
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    rows_[u].degree = static_cast<std::uint32_t>(g.neighbors(u).size());
+    cells_in_use_ += rows_[u].degree;
+  }
+  lay_out_rows(0, kNoPeer, /*move=*/false);
   std::fill(active_words_.begin(), active_words_.end(), 0);
   active_list_.clear();
   free_word_hint_ = 0;
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     set_active_bit(u, true);
     active_list_.push_back(u);
-    for (const graph::NodeId v : g.neighbors(u)) row_push_back(u, v);
+    const auto nbrs = g.neighbors(u);
+    std::copy(nbrs.begin(), nbrs.end(), arena_.get() + rows_[u].begin);
   }
 }
 
 bool Overlay::is_active(std::uint32_t peer) const {
-  CF_EXPECTS(peer < row_head_.size());
+  CF_EXPECTS(peer < rows_.size());
   return (active_words_[peer / 64] >> (peer % 64)) & 1;
 }
 
@@ -127,16 +133,6 @@ void Overlay::list_erase(std::uint32_t peer) {
   active_list_.erase(it);
 }
 
-void Overlay::neighbors_into(std::uint32_t peer,
-                             std::vector<std::uint32_t>& out) const {
-  CF_EXPECTS(peer < row_head_.size());
-  out.clear();
-  for (std::uint32_t c = row_head_[peer]; c != kNullCell;
-       c = cells_[c].next) {
-    out.push_back(cells_[c].to);
-  }
-}
-
 std::optional<std::uint32_t> Overlay::lowest_inactive_slot() const {
   // Invariant: every word below free_word_hint_ is fully active, so the
   // scan may start there. Words it proves full advance the cursor, which
@@ -150,7 +146,7 @@ std::optional<std::uint32_t> Overlay::lowest_inactive_slot() const {
     }
     const auto slot = static_cast<std::uint32_t>(
         w * 64 + static_cast<std::size_t>(std::countr_zero(free)));
-    if (slot >= row_head_.size()) break;  // padding bits of the last word
+    if (slot >= rows_.size()) break;  // padding bits of the last word
     free_word_hint_ = w;
     return slot;
   }
@@ -159,7 +155,7 @@ std::optional<std::uint32_t> Overlay::lowest_inactive_slot() const {
 
 void Overlay::join(std::uint32_t peer, std::size_t target_links,
                    util::Rng& rng) {
-  CF_EXPECTS(peer < row_head_.size());
+  CF_EXPECTS(peer < rows_.size());
   CF_EXPECTS_MSG(!is_active(peer), "slot already active");
   set_active_bit(peer, true);
   list_insert(peer);
@@ -170,7 +166,7 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
   join_weights_.clear();
   for (auto c : candidates) {
     join_weights_.push_back(
-        c == peer ? 0.0 : static_cast<double>(degree_[c]) + 1.0);
+        c == peer ? 0.0 : static_cast<double>(rows_[c].degree) + 1.0);
   }
   const std::size_t want =
       std::min(target_links, active_list_.size() - 1);
@@ -187,30 +183,29 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
 }
 
 void Overlay::leave(std::uint32_t peer) {
-  CF_EXPECTS(peer < row_head_.size());
+  CF_EXPECTS(peer < rows_.size());
   CF_EXPECTS_MSG(is_active(peer), "slot not active");
-  for (std::uint32_t c = row_head_[peer]; c != kNullCell;
-       c = cells_[c].next) {
-    remove_directed(cells_[c].to, peer);
-  }
-  row_clear(peer);
+  // Removals from other rows never move a row, so this span stays valid.
+  for (const std::uint32_t nbr : neighbors(peer)) remove_directed(nbr, peer);
+  cells_in_use_ -= rows_[peer].degree;
+  rows_[peer].degree = 0;
   set_active_bit(peer, false);
   list_erase(peer);
 }
 
 bool Overlay::add_edge(std::uint32_t a, std::uint32_t b) {
-  CF_EXPECTS(a < row_head_.size() && b < row_head_.size());
+  CF_EXPECTS(a < rows_.size() && b < rows_.size());
   CF_EXPECTS_MSG(is_active(a) && is_active(b),
                  "both endpoints must be active");
   if (a == b) return false;
-  for (std::uint32_t c = row_head_[a]; c != kNullCell; c = cells_[c].next) {
-    if (cells_[c].to == b) return false;
+  for (const std::uint32_t nbr : neighbors(a)) {
+    if (nbr == b) return false;
   }
-  if (cells_in_use_ + 2 > cells_.size()) {
+  if (cells_in_use_ + 2 > half_) {
     if (edges_dropped_ == 0) {
-      CF_LOG_WARN("edge pool exhausted (capacity "
-                  << cells_.size()
-                  << " cells); edge refused, further drops counted silently");
+      CF_LOG_WARN("edge arena full (capacity "
+                  << half_
+                  << " entries); edge refused, further drops counted silently");
     }
     ++edges_dropped_;
     return false;
@@ -221,55 +216,24 @@ bool Overlay::add_edge(std::uint32_t a, std::uint32_t b) {
 }
 
 void Overlay::remove_directed(std::uint32_t from, std::uint32_t to) {
-  // The linked rendering of the vector engine's swap-with-back removal:
-  // copy the tail's value over the removed entry, then drop the tail cell.
-  // Walk once, remembering the cell holding `to` and the tail's
-  // predecessor; the resulting order matches `*it = row.back(); pop_back()`
-  // exactly, which every RNG-consuming neighbor walk depends on.
-  std::uint32_t found = kNullCell;
-  std::uint32_t prev = kNullCell;
-  std::uint32_t prev_of_tail = kNullCell;
-  std::uint32_t prev_of_found = kNullCell;
-  for (std::uint32_t c = row_head_[from]; c != kNullCell;
-       c = cells_[c].next) {
-    if (found == kNullCell && cells_[c].to == to) {
-      found = c;
-      prev_of_found = prev;
-    }
-    if (cells_[c].next == kNullCell) prev_of_tail = prev;
-    prev = c;
+  // Swap-with-back removal: the back entry moves into the removed entry's
+  // place, matching `*it = row.back(); row.pop_back()` exactly, which every
+  // RNG-consuming neighbor walk depends on.
+  Row& r = rows_[from];
+  std::uint32_t* const row = arena_.get() + r.begin;
+  for (std::uint32_t i = 0; i < r.degree; ++i) {
+    if (row[i] != to) continue;
+    row[i] = row[r.degree - 1];
+    --r.degree;
+    --cells_in_use_;
+    return;
   }
-  if (found == kNullCell) return;
-  const std::uint32_t tail = row_tail_[from];
-  if (found == tail) {
-    // Removing the last entry: unlink the tail directly.
-    if (prev_of_found == kNullCell) {
-      row_head_[from] = kNullCell;
-      row_tail_[from] = kNullCell;
-    } else {
-      cells_[prev_of_found].next = kNullCell;
-      row_tail_[from] = prev_of_found;
-    }
-  } else {
-    cells_[found].to = cells_[tail].to;
-    if (prev_of_tail == kNullCell) {
-      // Tail had no predecessor: row has a single cell, so found == tail —
-      // handled above. Unreachable, kept as a guard.
-      row_head_[from] = kNullCell;
-      row_tail_[from] = kNullCell;
-    } else {
-      cells_[prev_of_tail].next = kNullCell;
-      row_tail_[from] = prev_of_tail;
-    }
-  }
-  free_cell(tail);
-  --degree_[from];
 }
 
 double Overlay::mean_degree() const {
   if (active_list_.empty()) return 0.0;
   std::size_t total = 0;
-  for (std::uint32_t p : active_list_) total += degree_[p];
+  for (std::uint32_t p : active_list_) total += rows_[p].degree;
   return static_cast<double>(total) /
          static_cast<double>(active_list_.size());
 }

@@ -18,24 +18,32 @@
 // population — seeding, taxation, snapshots — bit-identical to the
 // pre-span engine that rebuilt the sorted vector on every call.
 //
-// Adjacency lives in a fixed-capacity EDGE POOL sized at construction: one
-// pool of 8-byte {neighbor, next} cells shared by every row, with freed
-// cells recycled through a free list. Joins and leaves therefore allocate
-// nothing — the million-peer market's churn path is heap-silent end to end.
-// Rows are singly-linked chains that reproduce the retired
-// vector<vector> engine's order EXACTLY: appends go to the tail, and
-// removals copy the tail's value over the removed cell before freeing the
-// tail (the linked-list rendering of swap-with-back + pop). Every
-// RNG-consuming walk over a neighbor list — candidate masks, seller picks,
-// join weights — sees the same sequence as before, bit for bit.
+// Adjacency lives in one ROW ARENA of neighbor ids sized at construction
+// and never resized, so joins and leaves allocate nothing: the
+// million-peer market's churn path is heap-silent end to end. Each peer's
+// row is contiguous (CSR with slack: a begin offset, a degree and a
+// capacity per peer), so neighbors() is a span straight into the arena and
+// the purchase phase reads a buyer's neighbors in place. Rows keep the
+// retired vector<vector> engine's order EXACTLY: appends go to the back,
+// and a removal moves the back entry into the removed entry's place
+// (swap-with-back + pop). Every RNG-consuming walk over a neighbor list —
+// candidate masks, seller picks, join weights — sees the same sequence as
+// before, bit for bit.
 //
-// Because rows are chains, there is no contiguous span to hand out;
-// neighbors are consumed through for_each_neighbor() (zero-copy visit) or
-// neighbors_into() (materialize into a caller-owned scratch buffer whose
-// lifetime the caller controls).
+// The arena holds two halves of edge_cell_capacity() entries each, 8 bytes
+// per admissible entry; pages of the idle half are not touched until a
+// re-layout moves rows there. Rows live in one half. A row that fills up
+// moves to the half's tail with twice the room; a leave keeps the departed
+// peer's room for the slot's next occupant. When the tail runs out, every
+// row is copied, in id order, into the other half, each with its degree
+// plus up to half again as slack (cut back pro rata when the half cannot
+// spare it, so at least half of the free room is left at the new tail).
+// Admission is by count: at most edge_cell_capacity() entries are live, so
+// the copy always fits.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,39 +58,35 @@ namespace creditflow::p2p {
 class Overlay {
  public:
   /// Create with a fixed slot capacity; all slots start inactive.
-  /// `edge_cells` fixes the pool size (directed cells: one undirected edge
-  /// consumes two); 0 picks a generous default for paper-scale overlays.
-  /// The pool never grows — when it is exhausted add_edge() refuses the
-  /// edge (logged once, counted) instead of allocating.
+  /// `edge_cells` fixes how many directed entries may be live at once (one
+  /// undirected edge takes two); 0 picks a generous default for
+  /// paper-scale overlays. The arena never grows — at that count
+  /// add_edge() refuses the edge (logged once, counted) instead of
+  /// allocating.
   explicit Overlay(std::size_t max_peers, std::size_t edge_cells = 0);
 
   /// Activate slots 0..g.num_nodes()-1 with the edges of `g`.
   void init_from_graph(const graph::Graph& g);
 
-  [[nodiscard]] std::size_t capacity() const { return row_head_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return rows_.size(); }
   [[nodiscard]] std::size_t num_active() const { return active_list_.size(); }
   [[nodiscard]] bool is_active(std::uint32_t peer) const;
   [[nodiscard]] std::size_t degree(std::uint32_t peer) const {
-    CF_EXPECTS(peer < degree_.size());
-    return degree_[peer];
+    CF_EXPECTS(peer < rows_.size());
+    return rows_[peer].degree;
   }
 
-  /// Visit the peer's neighbors in row order (identical to the retired
-  /// vector engine's iteration order). The callback must not mutate the
-  /// overlay.
-  template <typename Fn>
-  void for_each_neighbor(std::uint32_t peer, Fn&& fn) const {
-    CF_EXPECTS(peer < row_head_.size());
-    for (std::uint32_t c = row_head_[peer]; c != kNullCell;
-         c = cells_[c].next) {
-      fn(cells_[c].to);
-    }
+  /// The peer's neighbors in row order (identical to the retired vector
+  /// engine's iteration order), read in place.
+  ///
+  /// LIFETIME: the span aliases the row arena; any join(), leave(),
+  /// add_edge() or init_from_graph() may move rows and invalidates it.
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(
+      std::uint32_t peer) const {
+    CF_EXPECTS(peer < rows_.size());
+    const Row& r = rows_[peer];
+    return {arena_.get() + r.begin, r.degree};
   }
-
-  /// Materialize the peer's neighbor list (row order) into `out` (cleared
-  /// first). Allocation-free once `out` has reached its high-water
-  /// capacity; the caller owns the lifetime, so nested queries are safe.
-  void neighbors_into(std::uint32_t peer, std::vector<std::uint32_t>& out) const;
 
   /// Active peer ids in ascending order, O(1), no copy.
   ///
@@ -107,30 +111,29 @@ class Overlay {
   /// remain reachable). Requires the slot to be inactive.
   void join(std::uint32_t peer, std::size_t target_links, util::Rng& rng);
 
-  /// Deactivate a slot, removing all incident edges (cells return to the
-  /// pool's free list).
+  /// Deactivate a slot, removing all incident edges. The slot keeps its
+  /// row's room for its next occupant.
   void leave(std::uint32_t peer);
 
   /// Add one undirected edge between active peers; false on duplicates/self
-  /// (and, loudly, when the edge pool is exhausted).
+  /// (and, loudly, when edge_cell_capacity() entries are already live).
   bool add_edge(std::uint32_t a, std::uint32_t b);
 
   [[nodiscard]] double mean_degree() const;
 
-  /// Pool introspection (tests and capacity planning).
-  [[nodiscard]] std::size_t edge_cell_capacity() const { return cells_.size(); }
+  /// Entry accounting (tests and capacity planning).
+  [[nodiscard]] std::size_t edge_cell_capacity() const { return half_; }
   [[nodiscard]] std::size_t edge_cells_in_use() const { return cells_in_use_; }
-  /// Edges refused because the pool was exhausted.
+  /// Edges refused because edge_cell_capacity() entries were live.
   [[nodiscard]] std::uint64_t edges_dropped() const { return edges_dropped_; }
 
  private:
-  static constexpr std::uint32_t kNullCell = 0xffffffffu;
-
-  /// One directed adjacency entry: a neighbor id and the next cell of the
-  /// owning row (or, on the free list, the next free cell).
-  struct EdgeCell {
-    std::uint32_t to;
-    std::uint32_t next;
+  /// One peer's row: arena_[begin, begin + degree) holds its neighbors,
+  /// and the row may grow in place up to `capacity` entries.
+  struct Row {
+    std::uint32_t begin = 0;
+    std::uint32_t degree = 0;
+    std::uint32_t capacity = 0;
   };
 
   void remove_directed(std::uint32_t from, std::uint32_t to);
@@ -138,22 +141,24 @@ class Overlay {
   /// Ordered insert into / erase from the dense active array.
   void list_insert(std::uint32_t peer);
   void list_erase(std::uint32_t peer);
-  /// Pop a cell off the free list; kNullCell when the pool is exhausted.
-  std::uint32_t alloc_cell();
-  void free_cell(std::uint32_t cell);
-  /// Append `to` at the tail of `from`'s row (vector push_back order).
+  /// Append `to` at the back of `from`'s row (vector push_back order).
   void row_push_back(std::uint32_t from, std::uint32_t to);
-  /// Return every cell of the row to the free list and reset the row.
-  void row_clear(std::uint32_t peer);
-  void reset_free_list();
+  /// Give a full row room for one more entry: move it to the tail, or
+  /// re-lay every row into the other half when the tail is out of room.
+  void grow_row(std::uint32_t peer);
+  /// Lay every row out in id order from arena_[base], each with room for
+  /// its degree (one more for `grow`) plus slack, and make that the live
+  /// half. `move` copies the rows' entries over; without it the entries
+  /// are left for the caller to write.
+  void lay_out_rows(std::size_t base, std::uint32_t grow, bool move);
 
-  std::vector<EdgeCell> cells_;               ///< the pool, fixed capacity
-  std::uint32_t free_head_ = kNullCell;       ///< free-list head
-  std::size_t cells_in_use_ = 0;
+  std::size_t half_;                          ///< entries per arena half
+  std::unique_ptr<std::uint32_t[]> arena_;    ///< two halves, fixed size
+  std::size_t half_base_ = 0;                 ///< first entry of live half
+  std::size_t tail_ = 0;                      ///< first free entry after rows
+  std::size_t cells_in_use_ = 0;              ///< sum of degrees
   std::uint64_t edges_dropped_ = 0;
-  std::vector<std::uint32_t> row_head_;       ///< per-peer chain head
-  std::vector<std::uint32_t> row_tail_;       ///< per-peer chain tail
-  std::vector<std::uint32_t> degree_;         ///< per-peer chain length
+  std::vector<Row> rows_;                     ///< per-peer row placement
   std::vector<std::uint64_t> active_words_;   ///< ceil(capacity/64) words
   std::vector<std::uint32_t> active_list_;    ///< active ids, ascending
   std::vector<double> join_weights_;          ///< scratch for join()

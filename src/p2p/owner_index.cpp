@@ -7,47 +7,6 @@
 
 namespace creditflow::p2p {
 
-OwnerIndex::OwnerIndex(std::size_t max_peers, std::size_t window_capacity)
-    : max_peers_(max_peers),
-      window_(window_capacity),
-      words_((window_capacity + 63) / 64),
-      bits_(max_peers * words_, 0) {
-  CF_EXPECTS(max_peers > 0);
-  CF_EXPECTS(window_capacity > 0);
-}
-
-void OwnerIndex::on_advance(PeerId peer, ChunkId old_base, ChunkId new_base) {
-  CF_EXPECTS(peer < max_peers_);
-  CF_EXPECTS(new_base >= old_base);
-  if (new_base >= old_base + window_) {
-    on_clear(peer);
-    return;
-  }
-  std::uint64_t* row = bits_.data() + peer * words_;
-  for (ChunkId c = old_base; c < new_base; ++c) {
-    const std::size_t s = slot(c);
-    row[s / 64] &= ~(std::uint64_t{1} << (s % 64));
-  }
-}
-
-void OwnerIndex::on_clear(PeerId peer) {
-  CF_EXPECTS(peer < max_peers_);
-  std::fill_n(bits_.begin() + static_cast<std::ptrdiff_t>(peer * words_),
-              words_, std::uint64_t{0});
-}
-
-bool OwnerIndex::mirrors(PeerId peer, const BufferMap& buffer) const {
-  CF_EXPECTS(peer < max_peers_);
-  if (buffer.capacity() != window_) return false;
-  const std::uint64_t* row = bits_.data() + peer * words_;
-  for (ChunkId c = buffer.base(); c < buffer.end(); ++c) {
-    const std::size_t s = slot(c);
-    const bool bit = (row[s / 64] >> (s % 64)) & 1;
-    if (bit != buffer.has(c)) return false;
-  }
-  return true;
-}
-
 void CandidateMasks::scatter(const OwnerIndex& index,
                              std::span<const ChunkId> wanted,
                              ChunkId window_base) {

@@ -6,13 +6,14 @@
 // A naive purchase loop rescans every neighbor for every missing chunk —
 // O(window × degree) BufferMap::has calls per peer per round, the hot path
 // called out in ROADMAP.md. The index replaces those scans with word-wide
-// bit arithmetic: it mirrors every peer's window ownership as a 64-bit
-// bitmap keyed by the same ring slot BufferMap uses (slot = chunk %
-// window), maintained incrementally as chunks are seeded, purchased,
-// evicted, and as peers join/leave. A buyer then resolves "which of my
-// neighbors own chunk c and still have upload budget" for its whole
-// shopping list at once: AND each eligible neighbor's ownership word(s)
-// against the mask of wanted chunks and walk the set bits.
+// bit arithmetic. It keeps no bits of its own: every peer's BufferMap
+// already stores its window as a ring bitmap (bit chunk % window set ⟺
+// chunk held) in the PeerTable's word arena, one fixed-size row per slot,
+// so the index is a view that hands out each peer's row of that arena in
+// place. A buyer then resolves "which of my neighbors own chunk c and
+// still have upload budget" for its whole shopping list at once: AND each
+// eligible neighbor's ownership word(s) against the mask of wanted chunks
+// and walk the set bits.
 //
 // Layout choice: the index is peer→chunk bitmaps, not a global chunk→owner
 // list. A global owner list is the wrong shape twice over — in a healthy
@@ -35,11 +36,14 @@
 // is checked against.
 //
 // Slot-aliasing invariant: a bitmap slot only identifies a chunk relative
-// to a window base, and the index stores no bases. That is sound because
+// to a window base, and the index reads no bases. That is sound because
 // every alive peer shares the same window base whenever the index is
 // queried (run_round advances all windows in lockstep before the purchase
 // phase, and churn events never interleave with a round), and eviction
-// clears bits before a slot is ever reused by a later chunk.
+// clears bits before a slot is ever reused by a later chunk. A departed
+// peer's row keeps the bits it left with (its window stops advancing), but
+// a departed peer holds no overlay edges, so no buyer's phase reads it; the
+// slot's next occupant starts from BufferMap::reset, which clears the row.
 #pragma once
 
 #include <bit>
@@ -49,61 +53,41 @@
 
 #include "p2p/chunk.hpp"
 #include "p2p/ledger.hpp"
+#include "p2p/peer.hpp"
 #include "util/assert.hpp"
 
 namespace creditflow::p2p {
 
-class BufferMap;
-
-/// Incrementally-maintained per-peer window-ownership bitmaps.
+/// Every peer's window-ownership bitmap, read in place from the
+/// PeerTable's buffer arena. Holds no bits of its own; valid as long as the
+/// table it views.
 class OwnerIndex {
  public:
-  /// Index for `max_peers` slots over windows of `window_capacity` chunks.
-  OwnerIndex(std::size_t max_peers, std::size_t window_capacity);
+  explicit OwnerIndex(const PeerTable& peers)
+      : words_(peers.buffer_words()),
+        window_(peers.window_chunks()),
+        words_per_peer_(BufferMap::words_for(window_)) {}
 
-  [[nodiscard]] std::size_t capacity() const { return max_peers_; }
   [[nodiscard]] std::size_t window_capacity() const { return window_; }
   /// 64-bit words per peer bitmap.
-  [[nodiscard]] std::size_t words_per_peer() const { return words_; }
+  [[nodiscard]] std::size_t words_per_peer() const { return words_per_peer_; }
 
   /// Ring slot of a chunk id (identical to BufferMap's mapping).
   [[nodiscard]] std::size_t slot(ChunkId c) const {
     return static_cast<std::size_t>(c % window_);
   }
 
-  // ---- Incremental maintenance (mirrors BufferMap mutations) -------------
-
-  /// Peer now holds `c` (delivered, seeded, or warm-started). Inline: this
-  /// runs once per chunk delivery, squarely on the hot path.
-  void on_gain(PeerId peer, ChunkId c) {
-    const std::size_t s = slot(c);
-    bits_[peer * words_ + s / 64] |= std::uint64_t{1} << (s % 64);
-  }
-  /// Peer's window advanced from `old_base` to `new_base`: chunks falling
-  /// out of the window are evicted (same clearing rule as
-  /// BufferMap::advance).
-  void on_advance(PeerId peer, ChunkId old_base, ChunkId new_base);
-  /// Peer left the market or reset its window: drop all ownership bits.
-  void on_clear(PeerId peer);
-
-  // ---- Queries ------------------------------------------------------------
-
   /// The peer's ownership bitmap (words_per_peer() words; bit `slot(c)`
-  /// set ⟺ the peer holds chunk c of the current window). Inline: the
+  /// set ⟺ the peer holds chunk c of its current window). Inline: the
   /// purchase phase reads one bitmap per neighbor per buyer.
   [[nodiscard]] std::span<const std::uint64_t> owned(PeerId peer) const {
-    return {bits_.data() + peer * words_, words_};
+    return {words_ + peer * words_per_peer_, words_per_peer_};
   }
 
-  /// True when the peer's bitmap matches the buffer's contents bit for bit
-  /// (invariant check for tests; O(window)).
-  [[nodiscard]] bool mirrors(PeerId peer, const BufferMap& buffer) const;
-
  private:
-  std::size_t max_peers_;
+  const std::uint64_t* words_;
   std::size_t window_;
-  std::size_t words_;
-  std::vector<std::uint64_t> bits_;  ///< max_peers_ × words_, row-major
+  std::size_t words_per_peer_;
 };
 
 /// One buyer phase's candidate sellers for each wanted chunk: one bitmask

@@ -97,6 +97,11 @@ class PeerTable {
   [[nodiscard]] double depart_time(PeerId i) const { return depart_time_[i]; }
   void set_depart_time(PeerId i, double v) { depart_time_[i] = v; }
 
+  /// Chunks per window (every slot's BufferMap has this capacity).
+  [[nodiscard]] std::size_t window_chunks() const {
+    return buffers_.front().capacity();
+  }
+
   [[nodiscard]] BufferMap& buffer(PeerId i) { return buffers_[i]; }
   [[nodiscard]] const BufferMap& buffer(PeerId i) const { return buffers_[i]; }
 
@@ -167,6 +172,14 @@ class PeerTable {
                                          chunks_seeded_[i]) /
                          a
                    : 0.0;
+  }
+
+  /// The buffer arena every BufferMap reads and writes: slot i's window is
+  /// the BufferMap::words_for(window_chunks()) words at
+  /// i * words_for(window_chunks()), bit chunk % window_chunks() set ⟺ the
+  /// slot holds that chunk. OwnerIndex reads ownership here, in place.
+  [[nodiscard]] const std::uint64_t* buffer_words() const {
+    return buffer_words_.data();
   }
 
   /// Deep-copied point-in-time view of one slot (the introspection API).

@@ -14,11 +14,12 @@ namespace creditflow::p2p {
 
 namespace {
 
-/// Edge-pool sizing for the protocol's overlay: steady state holds
-/// ~mean_degree directed cells per peer (2E = N·d̄), churn joins burst
+/// Edge-arena sizing for the protocol's overlay: steady state holds
+/// ~mean_degree directed entries per peer (2E = N·d̄), churn joins burst
 /// 2·join_links more; a 2x headroom factor covers both with room for
-/// degree-distribution skew. 8 bytes per cell — the dominant per-peer cost
-/// at paper-default degree 20 is ~320 bytes/peer.
+/// degree-distribution skew. The arena takes 8 bytes per admissible entry
+/// (two halves of 4-byte ids) — the dominant per-peer cost at
+/// paper-default degree 20 is ~320 bytes/peer, most of it never touched.
 std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
                                 std::size_t join_links) {
   const double per_peer =
@@ -92,8 +93,8 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
       overlay_(cfg_.max_peers,
                protocol_edge_cells(cfg_.max_peers, cfg_.overlay_mean_degree,
                                    cfg_.churn.join_links)),
-      owner_index_(cfg_.max_peers, std::max<std::size_t>(cfg_.window_chunks, 1)),
       peers_(cfg_.max_peers, std::max<std::size_t>(cfg_.window_chunks, 1)),
+      owner_index_(peers_),
       pricing_(econ::make_pricing(cfg_.pricing)),
       spending_(make_spending_policy(cfg_.spending)),
       tax_(cfg_.tax) {
@@ -265,15 +266,11 @@ Credits StreamingProtocol::activate_peer(PeerId id, double now, bool initial) {
   const ChunkId base = head - cfg_.window_chunks;
   BufferMap& buffer = peers_.buffer(id);
   buffer.reset(base);
-  owner_index_.on_clear(id);
   // Warm start: join holding most of the current window, as a peer that has
   // been streaming for a while (or bootstrapped quickly) would.
   if (cfg_.warm_start_fill > 0.0) {
     for (ChunkId c = base; c < head; ++c) {
-      if (rng_.bernoulli(cfg_.warm_start_fill)) {
-        buffer.set(c);
-        owner_index_.on_gain(id, c);
-      }
+      if (rng_.bernoulli(cfg_.warm_start_fill)) buffer.set(c);
     }
   }
   const Credits grant = rejoin_grant(activation);
@@ -395,7 +392,6 @@ void StreamingProtocol::handle_departure(PeerId id, double now) {
   *churn_credits_taken_ += taken;
   tax_.forget_peer(id);
   overlay_.leave(id);
-  owner_index_.on_clear(id);
   peers_.set_alive(id, false);
   if (book_ != nullptr) {
     // Seller churn expires its resting ask immediately — no ghost supply.
@@ -435,10 +431,7 @@ void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
       if (k == 0 && staked_priority && !staked_scratch_.empty()) {
         const PeerId bonded =
             staked_scratch_[rng_.uniform_index(staked_scratch_.size())];
-        if (peers_.buffer(bonded).set(c)) {
-          owner_index_.on_gain(bonded, c);
-          ++peers_.chunks_seeded(bonded);
-        }
+        if (peers_.buffer(bonded).set(c)) ++peers_.chunks_seeded(bonded);
         continue;
       }
       // Deficit-based seeding: the source prefers starving peers — sample a
@@ -456,10 +449,7 @@ void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
           }
         }
       }
-      if (peers_.buffer(target).set(c)) {
-        owner_index_.on_gain(target, c);
-        ++peers_.chunks_seeded(target);
-      }
+      if (peers_.buffer(target).set(c)) ++peers_.chunks_seeded(target);
     }
   }
 }
@@ -476,10 +466,7 @@ void StreamingProtocol::run_round(double now) {
   const auto active = overlay_.active_peers();
   round_order_.assign(active.begin(), active.end());
   for (PeerId id : round_order_) {
-    BufferMap& buffer = peers_.buffer(id);
-    const ChunkId old_base = buffer.base();
-    buffer.advance(window_base);
-    owner_index_.on_advance(id, old_base, window_base);
+    peers_.buffer(id).advance(window_base);
     upload_budget_[id] = peers_.upload_capacity(id) * cfg_.round_seconds;
   }
   // Mirror the overlay's edge-drop count into the registry (pure readout;
@@ -826,8 +813,7 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   buyer_buffer.missing_into(missing_scratch_);
   auto& missing = missing_scratch_;
   if (missing.empty()) return;
-  overlay_.neighbors_into(buyer_id, neighbor_scratch_);
-  const std::span<const PeerId> neighbors = neighbor_scratch_;
+  const std::span<const PeerId> neighbors = overlay_.neighbors(buyer_id);
   if (neighbors.empty()) return;
 
   // Freshest-first: a fresh chunk stays sellable for the whole window while
@@ -859,8 +845,8 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   // round), and upload budgets and resting asks only *drain*, which
   // CandidateMasks::drop mirrors the moment it happens. The eligibility
   // filter is hoisted for the same reason. No aliveness check: a departed
-  // peer holds no overlay edges, and its ownership bitmap is cleared on
-  // departure, so even a stale entry could never contribute a candidate.
+  // peer holds no overlay edges, so its stale ownership bits are never
+  // read.
   // With no eligible seller at all every wanted chunk fails on
   // availability, so the phase ends here.
   const bool book_mode = book_ != nullptr;
@@ -911,7 +897,6 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
     // Delivery.
     const bool fresh = buyer_buffer.set(chunk);
     CF_ENSURES_MSG(fresh, "purchased a chunk already held");
-    owner_index_.on_gain(buyer_id, chunk);
     upload_budget_[seller_id] -= 1.0;
     if (book_mode) {
       // Partial fill: one unit off the resting ask (it expires in place

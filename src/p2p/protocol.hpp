@@ -240,7 +240,6 @@ class StreamingProtocol {
   }
   [[nodiscard]] std::size_t num_alive() const { return overlay_.num_active(); }
   [[nodiscard]] const econ::TaxationEngine& taxation() const { return tax_; }
-  [[nodiscard]] const OwnerIndex& owner_index() const { return owner_index_; }
   [[nodiscard]] TransactionTrace& trace() { return trace_; }
   [[nodiscard]] const TransactionTrace& trace() const { return trace_; }
   /// The live order book; nullptr unless market_mode == kOrderBook.
@@ -386,8 +385,8 @@ class StreamingProtocol {
   util::Rng rng_;
   CreditLedger ledger_;
   Overlay overlay_;
-  OwnerIndex owner_index_;  ///< mirrors every peer buffer, always live
   PeerTable peers_;         ///< SoA per-peer state, arena-backed buffers
+  OwnerIndex owner_index_;  ///< ownership, read in place from peers_
   std::unique_ptr<econ::PricingScheme> pricing_;
   std::unique_ptr<SpendingPolicy> spending_;
   econ::TaxationEngine tax_;
@@ -413,9 +412,6 @@ class StreamingProtocol {
   /// Per-buyer-phase candidate sellers of every wanted chunk.
   CandidateMasks candidates_;
   std::vector<ChunkId> missing_scratch_;
-  /// Buyer's neighbor list, materialized once per purchase phase from the
-  /// overlay's edge-pool chain (allocation-free at high-water capacity).
-  std::vector<PeerId> neighbor_scratch_;
   /// Strategy-phase scratch (reserved to max_peers at construction when the
   /// corresponding population is configured, so the round loop stays
   /// allocation-free with strategies live).

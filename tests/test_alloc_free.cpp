@@ -9,8 +9,8 @@
 // allocation-free core end to end — window advance, seeding, the purchase
 // phase, taxation, and the event queue's fire/reschedule cycle — not just
 // one subsystem. Membership churn gets its own burst test: the overlay's
-// fixed-capacity edge pool makes join/leave heap-silent, so a warmed
-// overlay must absorb sustained join/leave bursts at zero allocations.
+// fixed-size row arena makes join/leave heap-silent, so a warmed overlay
+// must absorb sustained join/leave bursts at zero allocations.
 // (The protocol's churn *events* still allocate one std::function per
 // scheduled departure — simulator bookkeeping, not market state.)
 #include <gtest/gtest.h>
@@ -120,11 +120,12 @@ TEST(AllocationFreeCore, TaxationRoundsDoNotAllocate) {
 }
 
 TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {
-  // The edge-pool property head on: once the overlay has seen its
-  // high-water population once (free list populated, join-weight scratch
-  // at capacity), arbitrary join/leave bursts — including the
-  // lowest-inactive-slot scan every protocol arrival performs — touch the
-  // pool's free list and nothing else. Zero allocations, not amortized.
+  // The row-arena property head on: once the overlay has seen its
+  // high-water population once (join-weight scratch at capacity),
+  // arbitrary join/leave bursts — including the lowest-inactive-slot scan
+  // every protocol arrival performs — and a hub row growing far past its
+  // initial room move rows inside the arena and nothing else. Zero
+  // allocations, not amortized.
   util::Rng rng(14);
   graph::ScaleFreeParams sf;
   sf.target_mean_degree = 20.0;
@@ -136,6 +137,8 @@ TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {
   for (std::uint32_t p = 300; p < 420; ++p) overlay.join(p, 10, rng);
   for (std::uint32_t p = 350; p < 420; ++p) overlay.leave(p);
 
+  const std::uint32_t hub = 7;
+  const std::size_t hub_degree = overlay.degree(hub);
   const std::uint64_t before = g_allocations.load();
   for (int round = 0; round < 100; ++round) {
     for (int k = 0; k < 20; ++k) {
@@ -144,11 +147,17 @@ TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {
       overlay.join(*slot, 10, rng);
     }
     for (std::uint32_t p = 350; p < 370; ++p) overlay.leave(p);
+    // The hub links to three more bootstrap peers each round.
+    for (std::uint32_t k = 0; k < 3; ++k) {
+      (void)overlay.add_edge(hub, static_cast<std::uint32_t>(3 * round + k));
+    }
   }
   EXPECT_EQ(g_allocations.load() - before, 0u)
-      << "join/leave burst allocated on the edge pool";
+      << "join/leave burst allocated on the row arena";
+  EXPECT_GT(overlay.degree(hub), 4 * hub_degree)
+      << "the hub row never outgrew its initial room";
   EXPECT_EQ(overlay.edges_dropped(), 0u)
-      << "edge pool too small for the burst";
+      << "row arena too small for the burst";
 }
 
 TEST(AllocationFreeCore, OrderBookSteadyStateDoesNotAllocate) {

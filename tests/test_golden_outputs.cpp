@@ -19,7 +19,9 @@
 
 #include <initializer_list>
 
+#include "p2p/protocol.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -235,6 +237,47 @@ TEST(GoldenOutputs, Adv02WhitewashSweepIsPinned) {
       grid({"strat.whitewashers=0.1,0.3", "churn.mean_lifespan=100,300"}), 4);
   expect_hashes(sink, 0x8caddf8ed00122f2ULL, 0xc43b6fa160868671ULL,
                 0x8f516883c2fcd6acULL);
+}
+
+// The hub-degree grid: a 140-degree overlay gives some buyers more than
+// 128 eligible sellers, so their candidate masks are three words or more
+// and the run-time-width walk picks their sellers. Churn joins and leaves
+// grow and shrink hub rows past their initial room. Captured before the
+// overlay rows moved from the linked edge pool into one contiguous arena.
+SweepSpec hub_grid() { return grid({"churn.arrival_rate=1,4"}); }
+
+ScenarioSpec hub_spec() {
+  ScenarioSpec spec = *ScenarioRegistry::builtin().find("fig11_churn");
+  spec.set("peers", 2000.0);
+  spec.set("max_peers", 3072.0);
+  spec.set("overlay_degree", 140.0);
+  return spec;
+}
+
+TEST(GoldenOutputs, HubDegreeChurnSweepIsPinned) {
+  ScenarioSpec spec = hub_spec();
+  spec.set("horizon", 200.0);
+  spec.set("snapshot_interval", 50.0);
+  SweepRunner::Options options;
+  options.jobs = 4;
+  options.keep_reports = false;
+  SweepRunner runner(spec, hub_grid(), options);
+  ResultSink sink;
+  sink.add_all(runner.run());
+  expect_hashes(sink, 0xd453a550329cb962ULL, 0x191861adb3a1e635ULL,
+                0xb59d1def96293dc0ULL);
+}
+
+TEST(GoldenOutputs, HubDegreeMarketTakesTheGenericWidthPath) {
+  const SweepPlan plan(hub_spec(), hub_grid());
+  const core::MarketConfig cfg = plan.spec(0).materialize();
+  sim::Simulator sim;
+  p2p::StreamingProtocol proto(cfg.protocol, sim);
+  proto.start();
+  sim.run_until(20.0);
+  EXPECT_GT(proto.metrics().counter("purchase.phase_generic"), 0u)
+      << "no buyer had more than 128 eligible sellers";
+  EXPECT_EQ(proto.metrics().counter("overlay.edges_dropped"), 0u);
 }
 
 }  // namespace

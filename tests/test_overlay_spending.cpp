@@ -1,6 +1,9 @@
 // Tests for p2p/overlay (dynamic membership) and p2p/spending policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "p2p/overlay.hpp"
 #include "p2p/spending.hpp"
@@ -30,15 +33,10 @@ TEST(Overlay, JoinAttachesRequestedLinks) {
   EXPECT_TRUE(o.is_active(7));
   EXPECT_EQ(o.degree(7), 3u);
   EXPECT_EQ(o.num_active(), 7u);
-  // Bidirectional edges (nested queries: caller-owned scratch keeps the
-  // outer list stable while the inner one is materialized).
-  std::vector<std::uint32_t> nbrs;
-  std::vector<std::uint32_t> back_nbrs;
-  o.neighbors_into(7, nbrs);
-  for (auto nbr : nbrs) {
+  // Bidirectional edges (nested queries: both spans read the arena).
+  for (auto nbr : o.neighbors(7)) {
     bool found = false;
-    o.neighbors_into(nbr, back_nbrs);
-    for (auto back : back_nbrs) {
+    for (auto back : o.neighbors(nbr)) {
       if (back == 7) found = true;
     }
     EXPECT_TRUE(found);
@@ -72,7 +70,7 @@ TEST(Overlay, LeaveRemovesEdgesBothSides) {
   EXPECT_EQ(o.num_active(), 3u);
   EXPECT_EQ(o.degree(2), 0u);
   for (auto p : {0u, 1u, 3u}) {
-    o.for_each_neighbor(p, [](std::uint32_t nbr) { EXPECT_NE(nbr, 2u); });
+    for (auto nbr : o.neighbors(p)) EXPECT_NE(nbr, 2u);
     EXPECT_EQ(o.degree(p), 2u);
   }
 }
@@ -108,9 +106,9 @@ TEST(Overlay, PreferentialAttachmentFavorsHighDegree) {
     Overlay o(11);
     o.init_from_graph(g);
     o.join(10, 1, rng);
-    o.for_each_neighbor(10, [&](std::uint32_t nbr) {
+    for (auto nbr : o.neighbors(10)) {
       if (nbr == 0) ++hub_attachments;
-    });
+    }
   }
   // Hub weight = (9+1)/(9+1 + 9*(1+1)) ~ 0.36 ≥ uniform 0.1.
   EXPECT_GT(hub_attachments, trials / 5);
@@ -172,9 +170,9 @@ TEST(Overlay, LowestInactiveSlotTracksMembership) {
   EXPECT_EQ(*o.lowest_inactive_slot(), 129u);
 }
 
-TEST(Overlay, EdgePoolRecyclesCells) {
-  // Leaves must return every incident cell to the free list, so sustained
-  // churn cannot grow the pool footprint.
+TEST(Overlay, LeavesReturnEveryEntry) {
+  // Leaves must give back every incident entry, so sustained churn cannot
+  // creep toward the arena's admission limit.
   util::Rng rng(12);
   const auto g = graph::complete(6);
   Overlay o(12);
@@ -191,20 +189,20 @@ TEST(Overlay, EdgePoolRecyclesCells) {
   EXPECT_EQ(o.edges_dropped(), 0u);
 }
 
-TEST(Overlay, EdgePoolExhaustionRefusesNotGrows) {
-  // A pool sized for exactly the bootstrap graph refuses further edges
-  // (counted, not thrown) and resumes once a leave frees cells.
+TEST(Overlay, FullArenaRefusesNotGrows) {
+  // An arena sized for exactly the bootstrap graph refuses further edges
+  // (counted, not thrown) and resumes once a leave frees entries.
   util::Rng rng(13);
   const auto g = graph::complete(4);  // 6 undirected edges = 12 cells
   Overlay o(8, /*edge_cells=*/12);
   o.init_from_graph(g);
   EXPECT_EQ(o.edge_cells_in_use(), 12u);
-  o.join(5, 2, rng);  // pool is full: join attaches nothing
+  o.join(5, 2, rng);  // arena is full: join attaches nothing
   EXPECT_TRUE(o.is_active(5));
   EXPECT_EQ(o.degree(5), 0u);
   EXPECT_GT(o.edges_dropped(), 0u);
   const auto dropped = o.edges_dropped();
-  o.leave(0);  // frees 6 cells
+  o.leave(0);  // frees 6 entries
   EXPECT_TRUE(o.add_edge(5, 1));
   EXPECT_EQ(o.degree(5), 1u);
   EXPECT_EQ(o.edges_dropped(), dropped);
@@ -221,18 +219,140 @@ TEST(Overlay, RemovalPreservesSwapWithBackOrder) {
   o.init_from_graph(g);
   // Row 0 starts as [1, 2, 3, 4] (graph order). Removing 2 moves the
   // back (4) into its slot: [1, 4, 3].
+  using Row = std::vector<std::uint32_t>;
+  const auto row = [&o](std::uint32_t p) {
+    const auto nbrs = o.neighbors(p);
+    return Row(nbrs.begin(), nbrs.end());
+  };
   o.leave(2);
-  std::vector<std::uint32_t> nbrs;
-  o.neighbors_into(0, nbrs);
-  EXPECT_EQ(nbrs, (std::vector<std::uint32_t>{1, 4, 3}));
+  EXPECT_EQ(row(0), (Row{1, 4, 3}));
   // Removing the new back (3) just pops it: [1, 4].
   o.leave(3);
-  o.neighbors_into(0, nbrs);
-  EXPECT_EQ(nbrs, (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(row(0), (Row{1, 4}));
   // Removing the head (1) moves 4 forward: [4].
   o.leave(1);
-  o.neighbors_into(0, nbrs);
-  EXPECT_EQ(nbrs, (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(row(0), (Row{4}));
+}
+
+TEST(Overlay, MatchesVectorOfRowsModel) {
+  // Random join/leave/add_edge sequences against the vector<vector> engine
+  // the arena replaced: push_back appends, swap-with-back removal, and the
+  // count-based refusal rule. The arena is small, so rows move to the tail
+  // and the whole arena is re-laid into its other half many times.
+  constexpr std::uint32_t kSlots = 48;
+  constexpr std::size_t kCells = 200;
+  util::Rng rng(15);
+  Overlay o(kSlots, kCells);
+  o.init_from_graph(graph::ring_lattice(24, 2));
+  std::vector<std::vector<std::uint32_t>> model(kSlots);
+  std::vector<bool> active(kSlots, false);
+  for (std::uint32_t p = 0; p < 24; ++p) {
+    active[p] = true;
+    const auto nbrs = o.neighbors(p);
+    model[p].assign(nbrs.begin(), nbrs.end());
+  }
+  std::size_t in_use = o.edge_cells_in_use();
+  ASSERT_EQ(in_use, 2u * 48u);  // ring lattice: 24 peers x 2 edges each
+  std::uint64_t dropped = 0;
+  const auto model_push = [&](std::uint32_t a, std::uint32_t b) {
+    model[a].push_back(b);
+    model[b].push_back(a);
+    in_use += 2;
+  };
+  const auto model_remove = [&](std::uint32_t from, std::uint32_t to) {
+    auto& row = model[from];
+    const auto it = std::find(row.begin(), row.end(), to);
+    ASSERT_NE(it, row.end());
+    *it = row.back();
+    row.pop_back();
+    --in_use;
+  };
+  const auto pick_active = [&]() {
+    std::uint32_t p = 0;
+    do {
+      p = static_cast<std::uint32_t>(rng.uniform_index(kSlots));
+    } while (!active[p]);
+    return p;
+  };
+
+  std::size_t moves = 0;
+  std::size_t relayouts = 0;
+  std::vector<const std::uint32_t*> where(kSlots);
+  for (int step = 0; step < 4000; ++step) {
+    const auto before = model;
+    for (std::uint32_t p = 0; p < kSlots; ++p) {
+      where[p] = o.neighbors(p).data();
+    }
+    const std::size_t num_active = o.num_active();
+    const double u = rng.uniform();
+    if (u < 0.6 && num_active >= 2) {
+      const std::uint32_t a = pick_active();
+      const std::uint32_t b = pick_active();
+      const bool fresh =
+          a != b && std::find(model[a].begin(), model[a].end(), b) ==
+                        model[a].end();
+      const bool fits = in_use + 2 <= kCells;
+      EXPECT_EQ(o.add_edge(a, b), fresh && fits) << "step " << step;
+      if (fresh && fits) model_push(a, b);
+      if (fresh && !fits) ++dropped;
+    } else if (u < 0.8 && num_active > 2) {
+      const std::uint32_t p = pick_active();
+      o.leave(p);
+      for (const std::uint32_t nbr : model[p]) model_remove(nbr, p);
+      in_use -= model[p].size();
+      model[p].clear();
+      active[p] = false;
+    } else if (const auto slot = o.lowest_inactive_slot()) {
+      const auto links = rng.uniform_index(5);
+      const std::uint64_t dropped_before = o.edges_dropped();
+      o.join(*slot, links, rng);
+      active[*slot] = true;
+      // The attachment draw is the overlay's; the model replays the edges
+      // it chose, in order.
+      const auto nbrs = o.neighbors(*slot);
+      EXPECT_LE(nbrs.size(), links);
+      for (const std::uint32_t nbr : nbrs) {
+        ASSERT_TRUE(active[nbr]);
+        ASSERT_NE(nbr, *slot);
+        model_push(*slot, nbr);
+      }
+      // Refusals inside a join happen only at the admission limit.
+      if (o.edges_dropped() != dropped_before) {
+        EXPECT_GT(in_use + 2, kCells) << "step " << step;
+      }
+      dropped = o.edges_dropped();
+    }
+    ASSERT_EQ(o.edge_cells_in_use(), in_use) << "step " << step;
+    ASSERT_EQ(o.edges_dropped(), dropped) << "step " << step;
+    bool any_moved = false;
+    bool untouched_moved = false;
+    for (std::uint32_t p = 0; p < kSlots; ++p) {
+      const auto nbrs = o.neighbors(p);
+      ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), model[p].begin(),
+                             model[p].end()))
+          << "row " << p << " at step " << step;
+      ASSERT_EQ(o.degree(p), model[p].size());
+      ASSERT_EQ(o.is_active(p), active[p]);
+      for (const std::uint32_t nbr : nbrs) {
+        ASSERT_NE(std::find(model[nbr].begin(), model[nbr].end(), p),
+                  model[nbr].end())
+            << "edge " << p << "-" << nbr << " is one-sided";
+      }
+      if (!nbrs.empty() && nbrs.data() != where[p]) {
+        any_moved = true;
+        // Only a re-layout moves a row whose entries did not change.
+        if (model[p] == before[p]) untouched_moved = true;
+      }
+    }
+    if (untouched_moved) {
+      ++relayouts;
+    } else if (any_moved) {
+      ++moves;
+    }
+  }
+  EXPECT_GT(moves, 20u);
+  EXPECT_GT(relayouts, 5u);
+  EXPECT_GT(dropped, 0u);
 }
 
 TEST(FixedSpending, BudgetIsRateTimesRound) {

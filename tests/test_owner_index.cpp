@@ -1,10 +1,10 @@
-// Tests for p2p/owner_index: the incrementally-maintained chunk→owner
-// bitmaps behind the purchase phase, and the CandidateMasks built from
-// them. The load-bearing properties are the mirror invariant (index bits
-// == buffer contents) across seeding, purchases, window advances, and
-// churn join/leave; exact agreement of CandidateMasks with the per-chunk
-// neighbor scan kept here as the oracle; and whole markets pinned to the
-// digests they produced when the purchase phase still ran that scan.
+// Tests for p2p/owner_index: the ownership view over the PeerTable's
+// buffer arena behind the purchase phase, and the CandidateMasks built
+// from it. The load-bearing properties are that the view reads exactly
+// the bits the BufferMaps keep (seeding, purchases, window advances,
+// resets); exact agreement of CandidateMasks with the per-chunk neighbor
+// scan kept here as the oracle; and whole markets pinned to the digests
+// they produced when the purchase phase still ran that scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,68 +18,64 @@
 namespace creditflow::p2p {
 namespace {
 
-TEST(OwnerIndex, GainAndClearTrackBits) {
-  OwnerIndex index(4, 48);
+TEST(OwnerIndex, ReadsTheBufferArenaInPlace) {
+  PeerTable peers(4, 48);
+  const OwnerIndex index(peers);
+  EXPECT_EQ(index.window_capacity(), 48u);
   EXPECT_EQ(index.words_per_peer(), 1u);
-  index.on_gain(2, 5);
-  index.on_gain(2, 47);
-  index.on_gain(2, 48);  // slot 0 (wraps)
-  const auto words = index.owned(2);
-  EXPECT_EQ(words[0],
+  BufferMap& buffer = peers.buffer(2);
+  buffer.reset(5);
+  buffer.set(5);
+  buffer.set(47);
+  buffer.set(48);  // slot 0 (wraps)
+  EXPECT_EQ(index.owned(2)[0],
             (std::uint64_t{1} << 5) | (std::uint64_t{1} << 47) | 1u);
   EXPECT_EQ(index.owned(1)[0], 0u);
-  index.on_clear(2);
+  EXPECT_EQ(index.owned(3)[0], 0u);
+  buffer.reset(100);
   EXPECT_EQ(index.owned(2)[0], 0u);
 }
 
-TEST(OwnerIndex, AdvanceEvictsDepartedSlots) {
-  OwnerIndex index(2, 48);
-  for (ChunkId c = 0; c < 48; ++c) index.on_gain(0, c);
-  index.on_advance(0, 0, 10);
+TEST(OwnerIndex, WindowAdvanceEvictsInPlace) {
+  PeerTable peers(2, 48);
+  const OwnerIndex index(peers);
+  BufferMap& buffer = peers.buffer(0);
+  for (ChunkId c = 0; c < 48; ++c) buffer.set(c);
+  buffer.advance(10);
   // Slots 0..9 cleared, 10..47 still set.
   std::uint64_t expect = 0;
   for (ChunkId c = 10; c < 48; ++c) expect |= std::uint64_t{1} << c;
   EXPECT_EQ(index.owned(0)[0], expect);
   // A jump past the whole window clears everything.
-  index.on_advance(0, 10, 10 + 48);
+  buffer.advance(10 + 48);
   EXPECT_EQ(index.owned(0)[0], 0u);
 }
 
 TEST(OwnerIndex, MultiWordWindows) {
-  OwnerIndex index(2, 100);
+  PeerTable peers(2, 100);
+  const OwnerIndex index(peers);
   EXPECT_EQ(index.words_per_peer(), 2u);
-  index.on_gain(1, 70);
+  BufferMap& buffer = peers.buffer(1);
+  buffer.reset(70);
+  buffer.set(70);
   EXPECT_EQ(index.owned(1)[0], 0u);
   EXPECT_EQ(index.owned(1)[1], std::uint64_t{1} << 6);
-  index.on_advance(1, 70, 71);
+  EXPECT_EQ(index.owned(0)[1], 0u);
+  buffer.advance(71);
   EXPECT_EQ(index.owned(1)[1], 0u);
-}
-
-TEST(OwnerIndex, MirrorsBufferMap) {
-  OwnerIndex index(1, 32);
-  BufferMap buffer(32);
-  buffer.reset(100);
-  EXPECT_TRUE(index.mirrors(0, buffer));
-  buffer.set(105);
-  EXPECT_FALSE(index.mirrors(0, buffer));
-  index.on_gain(0, 105);
-  EXPECT_TRUE(index.mirrors(0, buffer));
-  buffer.advance(106);
-  index.on_advance(0, 100, 106);
-  EXPECT_TRUE(index.mirrors(0, buffer));
 }
 
 /// The oracle: the per-chunk neighbor scan the purchase phase ran before
 /// the owner index. A chunk's sellers are the eligible, undrained
 /// neighbors that hold it, in neighbor-list order.
 std::vector<PeerId> scan_sellers(std::span<const PeerId> neighbors,
-                                 const std::vector<BufferMap>& buffers,
+                                 const PeerTable& peers,
                                  const std::vector<bool>& eligible,
                                  const std::vector<bool>& drained,
                                  ChunkId chunk) {
   std::vector<PeerId> out;
   for (const PeerId nbr : neighbors) {
-    if (eligible[nbr] && !drained[nbr] && buffers[nbr].has(chunk)) {
+    if (eligible[nbr] && !drained[nbr] && peers.buffer(nbr).has(chunk)) {
       out.push_back(nbr);
     }
   }
@@ -118,16 +114,14 @@ TEST(CandidateMasks, MatchesNeighborScanOracle) {
     const std::size_t peers = degree + 1 + rng.uniform_index(20);
     const ChunkId base = rng.uniform_index(1000);
 
-    OwnerIndex index(peers, window);
-    std::vector<BufferMap> buffers(peers, BufferMap(window));
+    PeerTable table(peers, window);
+    const OwnerIndex index(table);
     const double own = rng.uniform(0.05, 0.95);
     for (PeerId id = 0; id < peers; ++id) {
-      buffers[id].reset(base);
+      BufferMap& buffer = table.buffer(id);
+      buffer.reset(base);
       for (ChunkId c = base; c < base + window; ++c) {
-        if (rng.bernoulli(own)) {
-          buffers[id].set(c);
-          index.on_gain(id, c);
-        }
+        if (rng.bernoulli(own)) buffer.set(c);
       }
     }
     // A neighbor list in shuffled id order, so neighbor order and bit
@@ -164,7 +158,7 @@ TEST(CandidateMasks, MatchesNeighborScanOracle) {
     std::vector<bool> drained(peers);
     for (const ChunkId c : wanted) {
       const auto expect =
-          scan_sellers(neighbors, buffers, eligible, drained, c);
+          scan_sellers(neighbors, table, eligible, drained, c);
       masks.visit(c, [&](const auto& sellers) {
         expect_matches_scan(sellers, expect);
       });
@@ -350,9 +344,9 @@ TEST(OwnerIndexEquivalence, MatchesNaiveScanAtHubDegreesSupplyLimited) {
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanAtHubDegreesUnderChurn) {
-  // Churn on a dense overlay: joins attach many links at once and
-  // departures strand index bits unless on_clear keeps the mirror exact —
-  // at hub degrees every such slip would surface as a digest change.
+  // Churn on a dense overlay: joins attach many links at once, and
+  // departures leave their stale ownership bits behind, which no buyer may
+  // read — at hub degrees every such slip would surface as a digest change.
   auto cfg = hub_config(53);
   cfg.churn.enabled = true;
   cfg.churn.arrival_rate = 1.0;
@@ -510,7 +504,9 @@ TEST(OwnerIndexBookEquivalence, HubBuyersTakeTheDynamicWidthWalk) {
   }
 }
 
-TEST(OwnerIndexInvariant, MirrorsEveryBufferAfterChurnHeavyRun) {
+TEST(OwnerIndexInvariant, DepartedSlotsAreNobodysNeighbor) {
+  // A departed peer's ownership row keeps stale bits; the index is sound
+  // only because no alive peer still lists a departed one as a neighbor.
   auto cfg = base_config(5);
   cfg.churn.enabled = true;
   cfg.churn.arrival_rate = 1.5;
@@ -521,20 +517,19 @@ TEST(OwnerIndexInvariant, MirrorsEveryBufferAfterChurnHeavyRun) {
   proto.start();
   sim.run_until(200.0);
   EXPECT_GT(proto.metrics().counter("churn.departures"), 100u);
-  std::size_t alive_checked = 0;
+  const Overlay& overlay = proto.overlay();
+  std::size_t departed = 0;
   for (PeerId id = 0; id < cfg.max_peers; ++id) {
     if (proto.peer(id).alive) {
-      EXPECT_TRUE(proto.owner_index().mirrors(id, proto.peer(id).buffer))
-          << "peer " << id;
-      ++alive_checked;
-    } else {
-      // Departed (or never-used) slots must hold no stale ownership bits.
-      for (const auto word : proto.owner_index().owned(id)) {
-        EXPECT_EQ(word, 0u) << "peer " << id;
+      for (const PeerId nbr : overlay.neighbors(id)) {
+        EXPECT_TRUE(proto.peer(nbr).alive) << "peer " << id << " -> " << nbr;
       }
+    } else {
+      EXPECT_EQ(overlay.degree(id), 0u) << "peer " << id;
+      ++departed;
     }
   }
-  EXPECT_GT(alive_checked, 0u);
+  EXPECT_GT(departed, 0u);
 }
 
 }  // namespace

@@ -928,6 +928,16 @@ int main(int argc, char** argv) {
   }
 
   // ---- Single-run mode (the original market_cli behavior). --------------
+  // One run prints its report; it writes no aggregate, run rows or cache
+  // entries, so the sweep output flags would be dropped without a word —
+  // reject them loudly instead, as --worker does.
+  if (!cli.out.out_path.empty() || !cli.out.runs_out_path.empty() ||
+      cli.out.json || !cli.cache_dir.empty()) {
+    std::cerr << "--out/--runs-out/--json/--cache-dir need a sweep "
+                 "(--sweep or --seeds N>1); a single run prints its "
+                 "report\n";
+    return 64;
+  }
   // A configuration the market rejects (CF_EXPECTS in the constructors) is
   // a failed run: one diagnostic line and exit 2, not an uncaught throw.
   try {

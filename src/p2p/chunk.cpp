@@ -63,68 +63,60 @@ double BufferMap::fill() const {
 
 std::size_t BufferMap::advance(ChunkId new_base) {
   CF_EXPECTS_MSG(new_base >= base_, "window cannot move backwards");
+  const std::size_t words = words_for(capacity_);
   std::size_t evicted = 0;
-  // Evict slots that leave the window; if the jump exceeds the capacity the
-  // whole buffer is cleared.
-  if (new_base >= base_ + capacity_) {
+  if (new_base - base_ >= capacity_) {
+    // The whole window left: every held chunk is evicted.
     evicted = count_;
-    std::fill(words_, words_ + words_for(capacity_), std::uint64_t{0});
-    count_ = 0;
+    std::fill(words_, words_ + words, std::uint64_t{0});
   } else {
-    std::size_t s = slot(base_);
-    for (ChunkId c = base_; c < new_base; ++c) {
-      if (bit(s)) {
-        clear_bit(s);
-        --count_;
-        ++evicted;
-      }
-      if (++s == capacity_) s = 0;
+    // Shift every word right by the distance moved: the bits shifted out
+    // of word 0's bottom are the evicted chunks, and the top bits that
+    // come in are zero (nothing past the old window end was held).
+    const auto shift = static_cast<std::size_t>(new_base - base_);
+    const std::size_t word_shift = shift / 64;
+    const std::size_t bit_shift = shift % 64;
+    for (std::size_t w = 0; w < word_shift; ++w) {
+      evicted += static_cast<std::size_t>(std::popcount(words_[w]));
     }
+    if (bit_shift != 0) {
+      evicted += static_cast<std::size_t>(std::popcount(
+          words_[word_shift] & ((std::uint64_t{1} << bit_shift) - 1)));
+    }
+    for (std::size_t w = 0; w + word_shift < words; ++w) {
+      std::uint64_t v = words_[w + word_shift] >> bit_shift;
+      if (bit_shift != 0 && w + word_shift + 1 < words) {
+        v |= words_[w + word_shift + 1] << (64 - bit_shift);
+      }
+      words_[w] = v;
+    }
+    std::fill(words_ + (words - word_shift), words_ + words,
+              std::uint64_t{0});
   }
+  count_ -= evicted;
   base_ = new_base;
   return evicted;
 }
 
-bool BufferMap::missing_in_slot_range(std::size_t s_lo, std::size_t s_hi,
-                                      ChunkId chunk_at_lo,
-                                      std::vector<ChunkId>& out,
-                                      std::size_t cap) const {
-  for (std::size_t w = s_lo / 64; w * 64 < s_hi; ++w) {
+std::vector<ChunkId> BufferMap::missing(std::size_t max_results) const {
+  const std::size_t cap = max_results == 0 ? capacity_ : max_results;
+  std::vector<ChunkId> out;
+  out.reserve(std::min(cap, capacity_ - count_));
+  // Bit i is chunk base_ + i, so an ascending bit walk of the complement
+  // yields the missing chunks in ascending id order.
+  const std::size_t words = words_for(capacity_);
+  for (std::size_t w = 0; w < words && out.size() < cap; ++w) {
     std::uint64_t gaps = ~words_[w];
-    // Mask bits outside [s_lo, s_hi) within this word.
-    if (w * 64 < s_lo) gaps &= ~std::uint64_t{0} << (s_lo % 64);
-    if (s_hi < (w + 1) * 64) gaps &= ~(~std::uint64_t{0} << (s_hi % 64));
-    while (gaps != 0) {
-      const std::size_t s =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(gaps));
+    if ((w + 1) * 64 > capacity_) {
+      gaps &= (std::uint64_t{1} << (capacity_ % 64)) - 1;
+    }
+    while (gaps != 0 && out.size() < cap) {
+      out.push_back(base_ + w * 64 +
+                    static_cast<std::size_t>(std::countr_zero(gaps)));
       gaps &= gaps - 1;
-      out.push_back(chunk_at_lo + (s - s_lo));
-      if (out.size() >= cap) return false;
     }
   }
-  return true;
-}
-
-std::vector<ChunkId> BufferMap::missing(std::size_t max_results) const {
-  std::vector<ChunkId> out;
-  out.reserve(std::min(max_results == 0 ? capacity_ : max_results,
-                       capacity_ - count_));
-  missing_into(out, max_results);
   return out;
-}
-
-void BufferMap::missing_into(std::vector<ChunkId>& out,
-                             std::size_t max_results) const {
-  out.clear();
-  const std::size_t cap = max_results == 0 ? capacity_ : max_results;
-  // The ring holds exactly the current window, starting at slot(base_):
-  // walk [slot(base_), capacity) then the wrapped [0, slot(base_)) range,
-  // which visits chunks in ascending id order.
-  const std::size_t s0 = slot(base_);
-  if (!missing_in_slot_range(s0, capacity_, base_, out, cap)) return;
-  if (s0 > 0) {
-    missing_in_slot_range(0, s0, base_ + (capacity_ - s0), out, cap);
-  }
 }
 
 void BufferMap::reset(ChunkId new_base) {

@@ -2,8 +2,14 @@
 //
 // A live stream is an unbounded sequence of chunks 0,1,2,… emitted at a
 // fixed rate. Peers hold a sliding playback window; the BufferMap tracks
-// which chunks inside the window a peer currently has, backed by a ring
-// buffer so advancing the window is O(evicted), not O(window).
+// which chunks inside the window a peer currently has.
+//
+// Age layout: bit i of a window's words is set ⟺ chunk base() + i is held,
+// so bit 0 is the oldest chunk (next to be evicted) and the highest bit the
+// freshest. A chunk's bit is one subtraction away (no modulo), advancing
+// the window is one multi-word right shift, and a buyer's wanted set is the
+// complement of its row, already ordered by age. Two rows read at the same
+// base() line up bit for bit, which is what OwnerIndex relies on.
 #pragma once
 
 #include <cstdint>
@@ -13,15 +19,16 @@ namespace creditflow::p2p {
 
 using ChunkId = std::uint64_t;
 
-/// Sliding-window chunk availability bitmap (64-bit words under the hood,
-/// so missing-chunk extraction and eviction are bit-walks, not per-slot
-/// branches).
+/// Sliding-window chunk availability bitmap in the age layout above
+/// (64-bit words under the hood, so missing-chunk extraction and eviction
+/// are word operations, not per-chunk branches). Bits at and above
+/// capacity() in the last word are always zero.
 ///
 /// Word storage comes in two flavors: self-owned (the standalone
 /// constructor, used by tests and ad-hoc callers) or externally provided
 /// (the arena constructor) — the market backs every peer's window with one
 /// contiguous arena sized at construction, so a million BufferMaps cost one
-/// allocation and their words pack densely in slot order. Copies always
+/// allocation and their words pack densely in peer-slot order. Copies always
 /// deep-copy into owned storage (a snapshot must not alias the live arena).
 class BufferMap {
  public:
@@ -75,37 +82,25 @@ class BufferMap {
   }
 
   /// Advance the window base to `new_base` (>= current base), evicting
-  /// chunks that fall out. Returns the number of held chunks evicted.
+  /// chunks that fall out: the words shift right by the distance moved.
+  /// Returns the number of held chunks evicted.
   std::size_t advance(ChunkId new_base);
 
   /// Chunk ids in the window the peer is missing, ascending (most urgent
   /// first for playback), capped at `max_results` (0 = no cap).
   [[nodiscard]] std::vector<ChunkId> missing(std::size_t max_results = 0) const;
 
-  /// missing() into a caller-owned vector (cleared first) — the
-  /// allocation-free flavor for per-round hot loops.
-  void missing_into(std::vector<ChunkId>& out, std::size_t max_results = 0) const;
-
   /// Reset to an empty window at the given base.
   void reset(ChunkId new_base);
 
  private:
+  /// Bit position of an in-window chunk: its age from the base.
   [[nodiscard]] std::size_t slot(ChunkId c) const {
-    return static_cast<std::size_t>(c % capacity_);
+    return static_cast<std::size_t>(c - base_);
   }
   [[nodiscard]] bool bit(std::size_t s) const {
     return (words_[s / 64] >> (s % 64)) & 1;
   }
-  void clear_bit(std::size_t s) {
-    words_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
-  }
-  /// Append the chunks whose slots in [s_lo, s_hi) are unset, as
-  /// `chunk_at_lo + (s - s_lo)`, until `cap` results; returns false when
-  /// the cap was hit.
-  bool missing_in_slot_range(std::size_t s_lo, std::size_t s_hi,
-                             ChunkId chunk_at_lo,
-                             std::vector<ChunkId>& out,
-                             std::size_t cap) const;
 
   /// Self-owned storage; empty when arena-backed. words_ points at
   /// whichever backing is live and is what every accessor reads.

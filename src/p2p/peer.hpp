@@ -176,8 +176,8 @@ class PeerTable {
 
   /// The buffer arena every BufferMap reads and writes: slot i's window is
   /// the BufferMap::words_for(window_chunks()) words at
-  /// i * words_for(window_chunks()), bit chunk % window_chunks() set ⟺ the
-  /// slot holds that chunk. OwnerIndex reads ownership here, in place.
+  /// i * words_for(window_chunks()), bit k set ⟺ the slot holds chunk
+  /// buffer(i).base() + k. OwnerIndex reads ownership here, in place.
   [[nodiscard]] const std::uint64_t* buffer_words() const {
     return buffer_words_.data();
   }

@@ -28,33 +28,34 @@ std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
          static_cast<std::size_t>(std::ceil(per_peer)) * 2;
 }
 
-/// The seller with the smallest key; ties go to the earliest in neighbor
-/// order. Requires a non-empty seller set.
+/// Bit position of the seller with the smallest key; ties go to the
+/// earliest in neighbor order. Requires a non-empty seller set.
 template <class Sellers, class Key>
-PeerId pick_min(const Sellers& sellers, Key key) {
-  PeerId best = 0;
-  decltype(key(best)) best_key{};
+std::size_t pick_min(const Sellers& sellers, Key key) {
+  std::size_t best = 0;
+  decltype(key(PeerId{})) best_key{};
   bool have = false;
-  sellers.for_each([&](PeerId s) {
-    const auto k = key(s);
+  sellers.for_each([&](std::size_t bit) {
+    const auto k = key(sellers.peer(bit));
     if (!have || k < best_key) {
       have = true;
-      best = s;
+      best = bit;
       best_key = k;
     }
   });
   return best;
 }
 
-/// A seller drawn with probability proportional to `weight` (one
-/// Rng::discrete draw over the weights in neighbor order). Requires a
-/// non-empty seller set.
+/// Bit position of a seller drawn with probability proportional to
+/// `weight` (one Rng::discrete draw over the weights in neighbor order).
+/// Requires a non-empty seller set.
 template <class Sellers, class Weight>
-PeerId pick_weighted(const Sellers& sellers, util::Rng& rng,
-                     std::vector<double>& weights, Weight weight) {
+std::size_t pick_weighted(const Sellers& sellers, util::Rng& rng,
+                          std::vector<double>& weights, Weight weight) {
   weights.clear();
-  sellers.for_each([&](PeerId s) { weights.push_back(weight(s)); });
-  return sellers[rng.discrete(weights)];
+  sellers.for_each(
+      [&](std::size_t bit) { weights.push_back(weight(sellers.peer(bit))); });
+  return sellers.nth(rng.discrete(weights));
 }
 
 /// Samples scope duration (µs) into a histogram, but only while the tracer
@@ -168,6 +169,9 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   phase_two_word_ct_ = metrics_.counter_cell("purchase.phase_two_word");
   phase_generic_ct_ = metrics_.counter_cell("purchase.phase_generic");
   phase_empty_ct_ = metrics_.counter_cell("purchase.phase_empty");
+  fail_no_seller_ = metrics_.counter_cell("purchase.fail_no_seller");
+  fail_drained_ = metrics_.counter_cell("purchase.fail_drained");
+  fail_above_limit_ = metrics_.counter_cell("purchase.fail_above_limit");
   overlay_edges_dropped_ = metrics_.counter_cell("overlay.edges_dropped");
   whitewash_resets_ = metrics_.counter_cell("strat.whitewash_resets");
   whitewash_minted_ = metrics_.counter_cell("strat.whitewash_minted");
@@ -725,18 +729,17 @@ bool StreamingProtocol::is_book_seller(PeerId id) const {
          cfg_.book.seller_fraction * 16777216.0;
 }
 
-// The pick policies run once per wanted chunk. Their instantiations over
+// The pick policies run once per visited chunk. Their instantiations over
 // CandidateMasks::Sellers are ordinary (externally visible) templates that
 // GCC would otherwise call out of line at every chunk, which costs a few
 // percent of the fig11 round rate, so both are forced inline into the
-// purchase phase.
+// purchase kernel.
 template <class Sellers>
 [[gnu::always_inline]] inline bool StreamingProtocol::choose_seller(
-    PeerId buyer, ChunkId chunk, const Sellers& sellers, PeerId& seller_out,
-    econ::Credits& price_out) {
-  if (sellers.empty()) return false;
+    PeerId buyer, ChunkId chunk, const Sellers& sellers,
+    std::size_t& seller_bit, econ::Credits& price_out) {
   if (book_ != nullptr) {
-    return book_cross(buyer, sellers, seller_out, price_out);
+    return book_cross(buyer, sellers, seller_bit, price_out);
   }
   // Availability-driven routing (the paper's transfer probabilities):
   // uniform among the neighbors that own the chunk and still have upload
@@ -746,10 +749,10 @@ template <class Sellers>
   // (typically wealthy) peers: the rich-get-richer ablation.
   switch (cfg_.seller_choice) {
     case ProtocolConfig::SellerChoice::kAvailabilityUniform:
-      seller_out = sellers[uniform_pick(sellers.size())];
+      seller_bit = sellers.nth(uniform_pick(sellers.size()));
       break;
     case ProtocolConfig::SellerChoice::kFillWeighted:
-      seller_out = pick_weighted(sellers, rng_, seller_weights_,
+      seller_bit = pick_weighted(sellers, rng_, seller_weights_,
                                  [this](PeerId s) {
                                    return static_cast<double>(
                                               peers_.buffer(s).count()) +
@@ -758,38 +761,38 @@ template <class Sellers>
       break;
     case ProtocolConfig::SellerChoice::kCheapestAsk:
       // Procurement auction: cheapest ask wins, ties broken by scan order.
-      seller_out = pick_min(
+      seller_bit = pick_min(
           sellers, [&](PeerId s) { return pricing_->price(s, chunk); });
       break;
   }
-  price_out = pricing_->price(seller_out, chunk);
+  price_out = pricing_->price(sellers.peer(seller_bit), chunk);
   return true;
 }
 
 template <class Sellers>
 [[gnu::always_inline]] inline bool StreamingProtocol::book_cross(
-    PeerId buyer, const Sellers& sellers, PeerId& seller_out,
+    PeerId buyer, const Sellers& sellers, std::size_t& seller_bit,
     econ::Credits& price_out) {
   using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
   if (cfg_.book.cross == Cross::kFillWeighted) {
     // Demand spread across the book's depth: candidate asks weighted by
     // their remaining quantity, so deep levels absorb proportionally more
     // flow than a best-ask stampede would send them.
-    seller_out =
+    seller_bit =
         pick_weighted(sellers, rng_, seller_weights_, [this](PeerId s) {
           return static_cast<double>(book_->ask_quantity(s));
         });
-    price_out = book_->ask_price(seller_out);
+    price_out = book_->ask_price(sellers.peer(seller_bit));
     return true;
   }
   // kBestAsk / kLimit: price-time priority over the candidate set — the
   // min on (price, seq) selects exactly the ask a walk of the book in level
   // order (filtered to candidates) would reach first; the order-book tests
   // pin that equivalence.
-  seller_out = pick_min(sellers, [this](PeerId s) {
+  seller_bit = pick_min(sellers, [this](PeerId s) {
     return std::pair{book_->ask_price(s), book_->ask_seq(s)};
   });
-  price_out = book_->ask_price(seller_out);
+  price_out = book_->ask_price(sellers.peer(seller_bit));
   if (cfg_.book.cross == Cross::kLimit && price_out > cfg_.book.limit_price) {
     // The market is above the buyer's limit: rest a bid (standing intent,
     // re-posting refreshes it) and wait for asks to come down.
@@ -803,33 +806,35 @@ template <class Sellers>
 void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   const ScopedLatencySample latency(buyer_latency_hist_);
   if (!peers_.alive(buyer_id)) return;  // departed mid-round
-  BufferMap& buyer_buffer = peers_.buffer(buyer_id);
-
-  double budget = spending_->round_budget(peers_.base_spend_rate(buyer_id),
-                                          ledger_.balance(buyer_id),
-                                          cfg_.round_seconds);
+  const double budget = spending_->round_budget(
+      peers_.base_spend_rate(buyer_id), ledger_.balance(buyer_id),
+      cfg_.round_seconds);
   if (budget <= 0.0) return;
+  with_width(owner_index_.words_per_peer(), [&](auto win) {
+    purchase_kernel<decltype(win)::value>(buyer_id, now, budget);
+  });
+}
 
-  buyer_buffer.missing_into(missing_scratch_);
-  auto& missing = missing_scratch_;
-  if (missing.empty()) return;
-  const std::span<const PeerId> neighbors = overlay_.neighbors(buyer_id);
-  if (neighbors.empty()) return;
-
+template <std::size_t kWin>
+void StreamingProtocol::purchase_kernel(PeerId buyer_id, double now,
+                                        double budget) {
   // Freshest-first: a fresh chunk stays sellable for the whole window while
   // a chunk at the eviction edge is nearly worthless, so purchase order is
   // newest to oldest (the standard mesh-pull priority once playback urgency
-  // is folded into the window itself).
-  std::reverse(missing.begin(), missing.end());
-  if (missing.size() > cfg_.max_purchase_attempts) {
-    missing.resize(cfg_.max_purchase_attempts);
-  }
+  // is folded into the window itself). The wanted mask keeps the freshest
+  // max_purchase_attempts missing chunks, and the walk runs from its
+  // highest bit down.
+  const std::size_t wanted = candidates_.want<kWin>(
+      owner_index_, buyer_id, cfg_.max_purchase_attempts);
+  if (wanted == 0) return;
+  const std::span<const PeerId> neighbors = overlay_.neighbors(buyer_id);
+  if (neighbors.empty()) return;
 
   // Liquidity management: at or below the reserve, only keep pace with the
   // stream instead of catching up on backlog. The cap bounds successful
   // purchases (spending), not scan attempts — availability misses must not
   // eat the allowance or low-liquidity peers could never refill.
-  std::size_t purchase_cap = missing.size();
+  std::size_t purchase_cap = wanted;
   if (static_cast<double>(ledger_.balance(buyer_id)) <=
       cfg_.reserve_credits) {
     const auto keep_pace = static_cast<std::size_t>(
@@ -837,28 +842,27 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
     purchase_cap = std::max<std::size_t>(1, keep_pace);
   }
 
-  // Resolve each wanted chunk's sellers up front through the owner index
-  // (word-wide AND walks over the neighbors' ownership bitmaps) instead of
-  // rescanning every neighbor per chunk. Sound within one buyer phase:
-  // sellers' ownership and aliveness cannot change until the phase ends
-  // (only this buyer gains chunks, and churn events never interleave with a
-  // round), and upload budgets and resting asks only *drain*, which
+  // Resolve every wanted chunk's sellers up front through the owner index
+  // instead of rescanning every neighbor per chunk. Sound within one buyer
+  // phase: sellers' ownership and aliveness cannot change until the phase
+  // ends (only this buyer gains chunks, and churn events never interleave
+  // with a round), and upload budgets and resting asks only *drain*, which
   // CandidateMasks::drop mirrors the moment it happens. The eligibility
   // filter is hoisted for the same reason. No aliveness check: a departed
   // peer holds no overlay edges, so its stale ownership bits are never
-  // read.
-  // With no eligible seller at all every wanted chunk fails on
+  // read. With no eligible seller at all every wanted chunk fails on
   // availability, so the phase ends here.
   const bool book_mode = book_ != nullptr;
-  const bool any_eligible = candidates_.build(
-      owner_index_, neighbors, missing, buyer_buffer.base(),
-      [this, book_mode](PeerId s) {
-        return upload_budget_[s] >= 1.0 && (!book_mode || book_->has_ask(s));
+  const std::size_t eligible = candidates_.filter(
+      neighbors, [this, book_mode](PeerId s) {
+        return (upload_budget_[s] >= 1.0) &
+               (!book_mode || book_->has_ask(s));
       });
-  candidates_hist_->add(candidates_.num_eligible());
-  if (!any_eligible) {
+  candidates_hist_->add(eligible);
+  if (eligible == 0) {
     ++*phase_empty_ct_;
-    peers_.failed_availability(buyer_id) += missing.size();
+    peers_.failed_availability(buyer_id) += wanted;
+    *fail_no_seller_ += wanted;
     return;
   }
   switch (candidates_.words()) {
@@ -867,80 +871,94 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
     default: ++*phase_generic_ct_; break;
   }
 
+  const ChunkId window_base = peers_.buffer(buyer_id).base();
   std::size_t purchased = 0;
-  for (ChunkId chunk : missing) {
-    if (purchased >= purchase_cap) break;
-    if (budget <= 0.0) break;
-    PeerId seller_id = 0;
-    econ::Credits price = 0;
-    // One mask walk for every seller choice and book crossing, at the
-    // phase's mask width.
-    const bool have_seller =
-        candidates_.visit(chunk, [&](const auto& sellers) {
-          return choose_seller(buyer_id, chunk, sellers, seller_id, price);
-        });
-    if (!have_seller) {
-      ++peers_.failed_availability(buyer_id);
-      continue;
-    }
+  std::uint64_t above_limit = 0;
+  const CandidateMasks::Misses miss = with_width(
+      candidates_.words(), [&](auto sel) {
+        constexpr std::size_t kSel = decltype(sel)::value;
+        candidates_.scatter<kWin, kSel>(owner_index_);
+        return candidates_.walk<kWin, kSel>(
+            [&] { return purchased >= purchase_cap || budget <= 0.0; },
+            [&](std::size_t offset, const auto& sellers) {
+              const ChunkId chunk = window_base + offset;
+              std::size_t seller_bit = 0;
+              econ::Credits price = 0;
+              if (!choose_seller(buyer_id, chunk, sellers, seller_bit,
+                                 price)) {
+                ++above_limit;  // a book limit refusal
+                return;
+              }
+              const PeerId seller_id = sellers.peer(seller_bit);
+              if (static_cast<double>(price) > budget) {
+                ++peers_.failed_affordability(buyer_id);
+                return;  // cheaper chunks later in the window may still fit
+              }
+              if (price > 0 && !ledger_.transfer(buyer_id, seller_id, price)) {
+                ++peers_.failed_affordability(buyer_id);
+                ++*liquidity_failures_;
+                return;
+              }
+              if (deliver(buyer_id, seller_id, chunk, price, now)) {
+                candidates_.drop(seller_bit);
+              }
+              budget -= static_cast<double>(price);
+              ++purchased;
+            });
+      });
+  peers_.failed_availability(buyer_id) +=
+      miss.no_seller + miss.drained + above_limit;
+  *fail_no_seller_ += miss.no_seller;
+  *fail_drained_ += miss.drained;
+  *fail_above_limit_ += above_limit;
+}
 
-    if (static_cast<double>(price) > budget) {
-      ++peers_.failed_affordability(buyer_id);
-      continue;  // cheaper chunks later in the window may still fit
+bool StreamingProtocol::deliver(PeerId buyer_id, PeerId seller_id,
+                                ChunkId chunk, econ::Credits price,
+                                double now) {
+  const bool fresh = peers_.buffer(buyer_id).set(chunk);
+  CF_ENSURES_MSG(fresh, "purchased a chunk already held");
+  upload_budget_[seller_id] -= 1.0;
+  const bool book_mode = book_ != nullptr;
+  if (book_mode) {
+    // Partial fill: one unit off the resting ask (it expires in place
+    // when it drains). A seller whose upload budget ran out mid-round
+    // loses its whole ask — no capacity left to back it.
+    ++*book_fills_;
+    *book_volume_ += price;
+    ++book_sold_[seller_id];
+    (void)book_->fill_one(seller_id);
+    if (upload_budget_[seller_id] < 1.0 && book_->cancel_ask(seller_id)) {
+      ++*book_asks_expired_;
     }
-    if (price > 0 && !ledger_.transfer(buyer_id, seller_id, price)) {
-      ++peers_.failed_affordability(buyer_id);
-      ++*liquidity_failures_;
-      continue;
-    }
-
-    // Delivery.
-    const bool fresh = buyer_buffer.set(chunk);
-    CF_ENSURES_MSG(fresh, "purchased a chunk already held");
-    upload_budget_[seller_id] -= 1.0;
-    if (book_mode) {
-      // Partial fill: one unit off the resting ask (it expires in place
-      // when it drains). A seller whose upload budget ran out mid-round
-      // loses its whole ask — no capacity left to back it.
-      ++*book_fills_;
-      *book_volume_ += price;
-      ++book_sold_[seller_id];
-      (void)book_->fill_one(seller_id);
-      if (upload_budget_[seller_id] < 1.0 && book_->cancel_ask(seller_id)) {
-        ++*book_asks_expired_;
-      }
-      if (book_->has_bid(buyer_id) && price <= book_->bid_limit(buyer_id)) {
-        book_->on_bid_matched(buyer_id);
-        ++*book_bids_matched_;
-      }
-    }
-    if (upload_budget_[seller_id] < 1.0 ||
-        (book_mode && !book_->has_ask(seller_id))) {
-      candidates_.drop(seller_id, missing);
-    }
-    budget -= static_cast<double>(price);
-    ++purchased;
-
-    peers_.credits_spent(buyer_id) += price;
-    peers_.credits_earned(seller_id) += price;
-    ++peers_.chunks_downloaded(buyer_id);
-    ++peers_.chunks_uploaded(seller_id);
-    trace_.record(now, buyer_id, seller_id, chunk, price);
-    ++*tx_count_;
-    *tx_volume_ += price;
-
-    // Income taxation above the wealth threshold (Sec. VI-C).
-    if (cfg_.tax.enabled && price > 0) {
-      const auto due =
-          tax_.on_income(seller_id, price, ledger_.balance(seller_id));
-      if (due > 0) {
-        const auto collected = ledger_.collect_tax(seller_id, due);
-        CF_ENSURES_MSG(collected == due,
-                       "tax engine asked for more than the balance");
-        *tax_collected_ += collected;
-      }
+    if (book_->has_bid(buyer_id) && price <= book_->bid_limit(buyer_id)) {
+      book_->on_bid_matched(buyer_id);
+      ++*book_bids_matched_;
     }
   }
+  const bool drained = upload_budget_[seller_id] < 1.0 ||
+                       (book_mode && !book_->has_ask(seller_id));
+
+  peers_.credits_spent(buyer_id) += price;
+  peers_.credits_earned(seller_id) += price;
+  ++peers_.chunks_downloaded(buyer_id);
+  ++peers_.chunks_uploaded(seller_id);
+  trace_.record(now, buyer_id, seller_id, chunk, price);
+  ++*tx_count_;
+  *tx_volume_ += price;
+
+  // Income taxation above the wealth threshold (Sec. VI-C).
+  if (cfg_.tax.enabled && price > 0) {
+    const auto due =
+        tax_.on_income(seller_id, price, ledger_.balance(seller_id));
+    if (due > 0) {
+      const auto collected = ledger_.collect_tax(seller_id, due);
+      CF_ENSURES_MSG(collected == due,
+                     "tax engine asked for more than the balance");
+      *tax_collected_ += collected;
+    }
+  }
+  return drained;
 }
 
 std::size_t StreamingProtocol::uniform_pick(std::size_t num_candidates) {

@@ -334,6 +334,17 @@ class StreamingProtocol {
   void run_round(double now);
   void seed_new_chunks(double now, ChunkId head);
   void peer_purchase_phase(PeerId buyer_id, double now);
+  /// The purchase kernel at a window width of kWin mask words (1, 2, or 0
+  /// for a run-time width): want, filter, scatter and walk through
+  /// candidates_, settling each purchase through deliver().
+  template <std::size_t kWin>
+  void purchase_kernel(PeerId buyer_id, double now, double budget);
+  /// Settle a paid purchase: deliver the chunk, spend the seller's upload
+  /// capacity (and in the order book its ask), and record the transfer and
+  /// its tax. Returns whether the seller drained, so it must leave the
+  /// phase's candidate sets.
+  bool deliver(PeerId buyer_id, PeerId seller_id, ChunkId chunk,
+               econ::Credits price, double now);
   /// Order-book round opening: every participating seller posts (or
   /// replaces) its ask — quantity from this round's upload budget, price
   /// from the ask-pricing policy (adaptive repricing on its cadence).
@@ -342,21 +353,23 @@ class StreamingProtocol {
   /// per-id hash against book.seller_fraction — stable under churn).
   [[nodiscard]] bool is_book_seller(PeerId id) const;
   /// Pick the seller and price for one wanted chunk among `sellers` (its
-  /// candidates, in neighbor-list order): the book crossing in kOrderBook
-  /// mode, else the configured seller choice at the pricing scheme's
-  /// price. `Sellers` is the chunk's CandidateMasks::Sellers slot mask, at
-  /// the phase's word width. Returns false when no seller qualifies.
+  /// non-empty candidates, in neighbor-list order): the book crossing in
+  /// kOrderBook mode, else the configured seller choice at the pricing
+  /// scheme's price. `Sellers` is the chunk's CandidateMasks::Sellers, at
+  /// the phase's seller-mask width; the pick comes back as the seller's bit
+  /// position in it. Returns false only for a kLimit crossing refused
+  /// above the limit.
   template <class Sellers>
   bool choose_seller(PeerId buyer, ChunkId chunk, const Sellers& sellers,
-                     PeerId& seller_out, econ::Credits& price_out);
+                     std::size_t& seller_bit, econ::Credits& price_out);
   /// Cross the book for one wanted chunk over its non-empty candidate
   /// sellers — owner + upload budget + resting ask, resolved through the
   /// owner index — per the crossing strategy. Returns false when no ask is
   /// crossable: for kLimit, best-ask-above-limit posts a resting bid
   /// instead.
   template <class Sellers>
-  bool book_cross(PeerId buyer, const Sellers& sellers, PeerId& seller_out,
-                  econ::Credits& price_out);
+  bool book_cross(PeerId buyer, const Sellers& sellers,
+                  std::size_t& seller_bit, econ::Credits& price_out);
   /// Availability-uniform choice over `num_candidates` in closed form.
   /// Rng::discrete over k all-ones weights draws one uniform() and returns
   /// the first i with u*k - (i+1) <= 0, i.e. ceil(u*k) - 1 (0 when
@@ -411,7 +424,6 @@ class StreamingProtocol {
   std::vector<double> seller_weights_;  ///< fill-weighted pick weights
   /// Per-buyer-phase candidate sellers of every wanted chunk.
   CandidateMasks candidates_;
-  std::vector<ChunkId> missing_scratch_;
   /// Strategy-phase scratch (reserved to max_peers at construction when the
   /// corresponding population is configured, so the round loop stays
   /// allocation-free with strategies live).
@@ -443,6 +455,13 @@ class StreamingProtocol {
   std::uint64_t* phase_generic_ct_ = nullptr;
   /// Buyer phases that ended before any walk: no eligible neighbor.
   std::uint64_t* phase_empty_ct_ = nullptr;
+  // Availability failures by cause (they sum to the failed_availability
+  // increments): no eligible neighbor owned the chunk at phase start (this
+  // includes every wanted chunk of an empty phase), every owner drained
+  // earlier in the phase, or the best ask sat above a kLimit buyer's limit.
+  std::uint64_t* fail_no_seller_ = nullptr;
+  std::uint64_t* fail_drained_ = nullptr;
+  std::uint64_t* fail_above_limit_ = nullptr;
   // Pool-exhaustion readout: the overlay's edge-drop count mirrored into
   // the registry each round, so capacity pressure lands in run telemetry
   // instead of only a warn-once stderr line.

@@ -293,6 +293,20 @@ std::vector<RunResult> Coordinator::run() {
     }
   };
 
+  /// Crash injection (Options::abort_after_executed): once enough runs
+  /// executed, die at the first completion or grant that leaves a lease
+  /// outstanding, so the successor always inherits an orphaned lease,
+  /// however fast or slow the runs are.
+  auto maybe_abort = [&] {
+    if (im.options.abort_after_executed > 0 &&
+        executed_ >= im.options.abort_after_executed && !im.done &&
+        !im.leases.empty()) {
+      throw CoordinatorAborted(
+          "coordinator: injected crash after " +
+          std::to_string(executed_) + " executed run(s)");
+    }
+  };
+
   /// Handle one completed RESULT payload (record ‖ series); false → protocol
   /// violation, close the connection.
   auto handle_result = [&](Impl::Conn& conn, const std::string& payload,
@@ -358,15 +372,10 @@ std::vector<RunResult> Coordinator::run() {
     ++executed_;
     im.executed_cost += im.plan.expected_peer_rounds(idx);
     mark_done_if_complete();
-    if (im.options.abort_after_executed > 0 &&
-        executed_ >= im.options.abort_after_executed && !im.done) {
-      // Crash injection: state is on disk, the ack is not sent — exactly
-      // the window a SIGKILL leaves. The worker redelivers after
-      // reconnecting and collects a DUP from our successor.
-      throw CoordinatorAborted(
-          "coordinator: injected crash after " +
-          std::to_string(executed_) + " executed run(s)");
-    }
+    // Crash injection: state is on disk, the ack is not sent — exactly
+    // the window a SIGKILL leaves. The worker redelivers after
+    // reconnecting and collects a DUP from our successor.
+    maybe_abort();
     return conn.socket.send_all("OK\n");
   };
 
@@ -453,6 +462,9 @@ std::vector<RunResult> Coordinator::run() {
         ++issued;
       }
       if (issued == 0) return conn.socket.send_all("WAIT\n");
+      // A crash deferred from a completion lands here, with the grant
+      // journalled but never sent.
+      maybe_abort();
       return conn.socket.send_all(grant + "\n");
     }
     if (line.rfind("RESULT ", 0) == 0) {

@@ -181,9 +181,10 @@ class Coordinator {
     int status_port = -1;
 
     /// Crash injection for recovery tests: throw CoordinatorAborted out of
-    /// run() once this many fresh completions have been recorded (state on
-    /// disk, connections dropped on destruction — a process kill without
-    /// the process). 0 disables.
+    /// run() once this many fresh completions have been recorded, at the
+    /// first completion or lease grant that leaves a lease outstanding
+    /// (state on disk, connections dropped on destruction — a process kill
+    /// without the process, always mid-lease). 0 disables.
     std::size_t abort_after_executed = 0;
   };
 

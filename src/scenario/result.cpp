@@ -190,74 +190,6 @@ std::vector<AggregateRow> ResultSink::aggregate() const {
   return rows;
 }
 
-std::vector<AggregateRow> ResultSink::aggregate_from_runs() const {
-  CF_EXPECTS_MSG(store_runs_,
-                 "aggregate_from_runs() requires run retention (store_runs)");
-  ensure_sorted();
-  std::vector<AggregateRow> rows;
-  for (const RunResult& run : runs_) {
-    if (rows.empty() || rows.back().point_index != run.point_index) {
-      AggregateRow row;
-      row.point_index = run.point_index;
-      row.params = run.params;
-      rows.push_back(std::move(row));
-    }
-    AggregateRow& row = rows.back();
-    if (!run.error.empty()) {
-      ++row.failures;
-      row.errors.push_back(run.error);
-      continue;
-    }
-    ++row.seeds;
-    if (row.metrics.empty()) {
-      for (const auto& [name, value] : run.metrics) {
-        MetricStat stat;
-        stat.mean = value;  // temporarily the running sum
-        stat.n = 1;
-        row.metrics.emplace_back(name, stat);
-      }
-      continue;
-    }
-    CF_EXPECTS_MSG(row.metrics.size() == run.metrics.size(),
-                   "runs of one grid point disagree on their metric set");
-    for (std::size_t k = 0; k < run.metrics.size(); ++k) {
-      row.metrics[k].second.mean += run.metrics[k].second;
-      ++row.metrics[k].second.n;
-    }
-  }
-
-  // Finalize: sums → means, then a second pass for the spread. Runs are
-  // kept sorted by run_index, so each row's runs occupy one contiguous
-  // slice of runs_ — the spread pass walks runs_ exactly once overall.
-  for (AggregateRow& row : rows) {
-    for (auto& [name, stat] : row.metrics) {
-      stat.mean /= static_cast<double>(stat.n);
-    }
-  }
-  std::size_t cursor = 0;
-  for (AggregateRow& row : rows) {
-    const std::size_t begin = cursor;
-    while (cursor < runs_.size() &&
-           runs_[cursor].point_index == row.point_index) {
-      ++cursor;
-    }
-    if (row.seeds < 2) continue;
-    for (std::size_t k = 0; k < row.metrics.size(); ++k) {
-      double sq = 0.0;
-      for (std::size_t i = begin; i < cursor; ++i) {
-        if (!runs_[i].error.empty()) continue;
-        const double d =
-            runs_[i].metrics[k].second - row.metrics[k].second.mean;
-        sq += d * d;
-      }
-      MetricStat& stat = row.metrics[k].second;
-      stat.stddev = std::sqrt(sq / static_cast<double>(stat.n - 1));
-      stat.ci95 = 1.96 * stat.stddev / std::sqrt(static_cast<double>(stat.n));
-    }
-  }
-  return rows;
-}
-
 std::string ResultSink::runs_csv() const {
   CF_EXPECTS_MSG(store_runs_,
                  "runs_csv() requires run retention (store_runs)");

@@ -9,9 +9,9 @@
 // are released the moment its last run lands, making aggregate memory
 // O(grid points), not O(runs). The fold performs the *identical* arithmetic,
 // in the identical run-index order, as a batch re-scan of the sorted run
-// list (see aggregate_from_runs(), the retained reference implementation),
-// so the emitted bytes are the same regardless of completion order, worker
-// count, or shard-merge interleaving.
+// list (that re-scan lives in tests/test_result_sink.cpp, as the oracle the
+// fold is checked against), so the emitted bytes are the same regardless of
+// completion order, worker count, or shard-merge interleaving.
 #pragma once
 
 #include <span>
@@ -72,7 +72,7 @@ class ResultSink {
   void set_expected_replications(std::size_t runs_per_point);
 
   /// Retain (default) or drop raw RunResults. Dropping them disables
-  /// runs()/runs_csv()/aggregate_from_runs() but shrinks a metrics-only
+  /// runs()/runs_csv() but shrinks a metrics-only
   /// sweep's footprint to the fold state alone — with expected
   /// replications set, O(grid points) for a 10^6-run grid. Must be chosen
   /// before the first add().
@@ -81,12 +81,6 @@ class ResultSink {
   /// Per-grid-point aggregation, ordered by point index — rendered from
   /// the incremental fold.
   [[nodiscard]] std::vector<AggregateRow> aggregate() const;
-
-  /// Reference batch implementation: re-derives the aggregation by
-  /// scanning the retained runs in run-index order. Bit-for-bit equal to
-  /// aggregate() by construction; kept for the streaming-vs-batch
-  /// regression tests. Requires run retention.
-  [[nodiscard]] std::vector<AggregateRow> aggregate_from_runs() const;
 
   /// Raw per-run CSV: run metadata + axis values + every metric + rounds
   /// (and, with set_timing_columns(true), per-run wall-time/RSS telemetry).
@@ -134,8 +128,8 @@ class ResultSink {
   /// Collapse `pending` into stats with the batch algorithm: walk a
   /// run-index-sorted view (no copies of the per-run data), sum means in
   /// that order, then a second deviation pass in the same order — the
-  /// operation sequence aggregate_from_runs() performs, hence bit-identical
-  /// results.
+  /// operation sequence of a batch re-scan of the sorted runs, hence
+  /// bit-identical results.
   [[nodiscard]] static FoldedStats fold_pending(
       const std::vector<PendingRun>& pending);
   /// fold_pending + release the per-run buffer (complete points only).

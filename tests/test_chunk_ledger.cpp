@@ -1,9 +1,15 @@
 // Tests for p2p/chunk (BufferMap) and p2p/ledger (CreditLedger).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
+#include <vector>
+
 #include "p2p/chunk.hpp"
 #include "util/assert.hpp"
 #include "p2p/ledger.hpp"
+#include "util/rng.hpp"
 
 namespace creditflow::p2p {
 namespace {
@@ -89,6 +95,59 @@ TEST(BufferMap, ResetClears) {
   EXPECT_EQ(b.count(), 0u);
   EXPECT_EQ(b.base(), 50u);
   EXPECT_TRUE(b.set(51));
+}
+
+TEST(BufferMap, MatchesSetModel) {
+  // Random set/advance/reset against a std::set of held chunk ids, at
+  // windows of one word, exactly one word, two words and three words, with
+  // advance steps on every word-shift edge and past the whole window.
+  util::Rng rng(48);
+  std::size_t evictions = 0;
+  for (const std::size_t window : {48u, 64u, 96u, 130u}) {
+    BufferMap b(window);
+    std::set<ChunkId> model;
+    ChunkId base = 0;
+    const std::size_t steps[] = {0, 1, 63, 64, 65, window, window + 7};
+    for (int op = 0; op < 3000; ++op) {
+      const double u = rng.uniform();
+      if (u < 0.8) {
+        // Mostly inside the window, sometimes just outside it.
+        const ChunkId c = base + rng.uniform_index(window + 4);
+        const bool fresh = c < base + window && model.insert(c).second;
+        ASSERT_EQ(b.set(c), fresh) << "window " << window << " chunk " << c;
+      } else if (u < 0.97) {
+        const std::size_t step = steps[rng.uniform_index(std::size(steps))];
+        const ChunkId next = base + step;
+        std::size_t gone = 0;
+        while (!model.empty() && *model.begin() < next) {
+          model.erase(model.begin());
+          ++gone;
+        }
+        ASSERT_EQ(b.advance(next), gone) << "window " << window;
+        evictions += gone;
+        base = next;
+      } else {
+        base += rng.uniform_index(200);
+        b.reset(base);
+        model.clear();
+      }
+      ASSERT_EQ(b.base(), base);
+      ASSERT_EQ(b.count(), model.size());
+      for (ChunkId c = base - std::min<ChunkId>(base, 2); c < base + window + 2;
+           ++c) {
+        ASSERT_EQ(b.has(c), model.count(c) == 1) << "chunk " << c;
+      }
+      std::vector<ChunkId> missing;
+      for (ChunkId c = base; c < base + window; ++c) {
+        if (model.count(c) == 0) missing.push_back(c);
+      }
+      ASSERT_EQ(b.missing(), missing);
+      const std::size_t cap = 1 + rng.uniform_index(window);
+      missing.resize(std::min(cap, missing.size()));
+      ASSERT_EQ(b.missing(cap), missing);
+    }
+  }
+  EXPECT_GT(evictions, 1000u);
 }
 
 TEST(CreditLedger, MintAndBalances) {

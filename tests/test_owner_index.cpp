@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "p2p/owner_index.hpp"
@@ -25,11 +26,12 @@ TEST(OwnerIndex, ReadsTheBufferArenaInPlace) {
   EXPECT_EQ(index.words_per_peer(), 1u);
   BufferMap& buffer = peers.buffer(2);
   buffer.reset(5);
-  buffer.set(5);
-  buffer.set(47);
-  buffer.set(48);  // slot 0 (wraps)
-  EXPECT_EQ(index.owned(2)[0],
-            (std::uint64_t{1} << 5) | (std::uint64_t{1} << 47) | 1u);
+  buffer.set(5);   // the oldest chunk: bit 0
+  buffer.set(47);  // bit 42
+  buffer.set(52);  // the freshest chunk: bit 47
+  EXPECT_FALSE(buffer.set(53));  // one past the window end
+  EXPECT_EQ(index.owned(2)[0], std::uint64_t{1} | (std::uint64_t{1} << 42) |
+                                   (std::uint64_t{1} << 47));
   EXPECT_EQ(index.owned(1)[0], 0u);
   EXPECT_EQ(index.owned(3)[0], 0u);
   buffer.reset(100);
@@ -41,13 +43,12 @@ TEST(OwnerIndex, WindowAdvanceEvictsInPlace) {
   const OwnerIndex index(peers);
   BufferMap& buffer = peers.buffer(0);
   for (ChunkId c = 0; c < 48; ++c) buffer.set(c);
-  buffer.advance(10);
-  // Slots 0..9 cleared, 10..47 still set.
-  std::uint64_t expect = 0;
-  for (ChunkId c = 10; c < 48; ++c) expect |= std::uint64_t{1} << c;
-  EXPECT_EQ(index.owned(0)[0], expect);
+  EXPECT_EQ(buffer.advance(10), 10u);
+  // Chunks 10..47 stay held and move down to bits 0..37; bits 38..47 are
+  // the ten new, empty chunks 48..57.
+  EXPECT_EQ(index.owned(0)[0], (std::uint64_t{1} << 38) - 1);
   // A jump past the whole window clears everything.
-  buffer.advance(10 + 48);
+  EXPECT_EQ(buffer.advance(10 + 48), 38u);
   EXPECT_EQ(index.owned(0)[0], 0u);
 }
 
@@ -57,11 +58,18 @@ TEST(OwnerIndex, MultiWordWindows) {
   EXPECT_EQ(index.words_per_peer(), 2u);
   BufferMap& buffer = peers.buffer(1);
   buffer.reset(70);
-  buffer.set(70);
-  EXPECT_EQ(index.owned(1)[0], 0u);
+  buffer.set(70);   // age 0: word 0, bit 0
+  buffer.set(140);  // age 70: word 1, bit 6
+  EXPECT_EQ(index.owned(1)[0], 1u);
   EXPECT_EQ(index.owned(1)[1], std::uint64_t{1} << 6);
+  EXPECT_EQ(index.owned(0)[0], 0u);
   EXPECT_EQ(index.owned(0)[1], 0u);
-  buffer.advance(71);
+  EXPECT_EQ(buffer.advance(71), 1u);
+  EXPECT_EQ(index.owned(1)[0], 0u);
+  EXPECT_EQ(index.owned(1)[1], std::uint64_t{1} << 5);
+  // Ten more: chunk 140 crosses into word 0 (age 59).
+  EXPECT_EQ(buffer.advance(81), 0u);
+  EXPECT_EQ(index.owned(1)[0], std::uint64_t{1} << 59);
   EXPECT_EQ(index.owned(1)[1], 0u);
 }
 
@@ -82,32 +90,45 @@ std::vector<PeerId> scan_sellers(std::span<const PeerId> neighbors,
   return out;
 }
 
-/// Every view of one chunk's masked sellers must agree with the scan:
-/// for_each order, size(), empty() and operator[] at every position.
+/// One visit of the walk as the kernel saw it.
+struct Visited {
+  ChunkId chunk;
+  std::vector<PeerId> sellers;  ///< for_each order
+  std::optional<PeerId> dropped;
+};
+
+/// Every view of one chunk's masked sellers must agree with each other:
+/// for_each order, size(), empty(), nth() and peer() at every position.
+/// Returns the sellers in for_each order.
 template <class Sellers>
-void expect_matches_scan(const Sellers& sellers,
-                         const std::vector<PeerId>& expect) {
-  std::vector<PeerId> walked;
-  sellers.for_each([&](PeerId s) { walked.push_back(s); });
-  EXPECT_EQ(walked, expect);
-  EXPECT_EQ(sellers.size(), expect.size());
-  EXPECT_EQ(sellers.empty(), expect.empty());
-  for (std::size_t n = 0; n < expect.size(); ++n) {
-    EXPECT_EQ(sellers[n], expect[n]) << "position " << n;
+std::vector<PeerId> walked_sellers(const Sellers& sellers) {
+  std::vector<std::size_t> bits;
+  sellers.for_each([&](std::size_t bit) { bits.push_back(bit); });
+  EXPECT_EQ(sellers.size(), bits.size());
+  EXPECT_FALSE(sellers.empty());
+  std::vector<PeerId> out;
+  for (std::size_t n = 0; n < bits.size(); ++n) {
+    EXPECT_EQ(sellers.nth(n), bits[n]) << "position " << n;
+    out.push_back(sellers.peer(bits[n]));
   }
+  return out;
 }
 
 TEST(CandidateMasks, MatchesNeighborScanOracle) {
   util::Rng rng(2012);
-  // Mask widths seen per owner-row width: [1-word rows, >=2-word rows] x
+  // Instantiations seen: [window 48, 96, 130 -> 1, 2, 3 words] x
   // [1, 2, >2 words of eligible sellers].
-  std::size_t widths_seen[2][3] = {};
+  std::size_t widths_seen[3][3] = {};
   std::size_t drops = 0;
-  // One object for every trial, as in the protocol: each build must reset
+  std::size_t stops = 0;
+  std::size_t early_exits = 0;
+  std::size_t drained_misses = 0;
+  // One object for every trial, as in the protocol: each phase must reset
   // whatever an earlier phase, of another width or window, left behind.
   CandidateMasks masks;
-  for (int trial = 0; trial < 240; ++trial) {
-    const std::size_t window = trial % 2 == 0 ? 48 : 130;
+  for (int trial = 0; trial < 360; ++trial) {
+    constexpr std::size_t kWindows[] = {48, 96, 130};
+    const std::size_t window = kWindows[(trial / 3) % 3];
     // Neighbor counts spread over one, two and more than two mask words.
     constexpr std::size_t kMaxDegree[] = {64, 128, 260};
     const std::size_t degree = 1 + rng.uniform_index(kMaxDegree[trial % 3]);
@@ -120,14 +141,17 @@ TEST(CandidateMasks, MatchesNeighborScanOracle) {
     for (PeerId id = 0; id < peers; ++id) {
       BufferMap& buffer = table.buffer(id);
       buffer.reset(base);
+      // The buyer (peer 0) holds fewer chunks, so it wants many.
+      const double p = id == 0 ? rng.uniform(0.0, 0.6) : own;
       for (ChunkId c = base; c < base + window; ++c) {
-        if (rng.bernoulli(own)) buffer.set(c);
+        if (rng.bernoulli(p)) buffer.set(c);
       }
     }
+    const PeerId buyer = 0;
     // A neighbor list in shuffled id order, so neighbor order and bit
     // order are not id order.
-    std::vector<PeerId> ids(peers);
-    for (PeerId id = 0; id < peers; ++id) ids[id] = id;
+    std::vector<PeerId> ids;
+    for (PeerId id = 1; id < peers; ++id) ids.push_back(id);
     rng.shuffle(ids);
     const auto neighbors = std::span<const PeerId>(ids).first(degree);
     std::vector<bool> eligible(peers);
@@ -135,49 +159,107 @@ TEST(CandidateMasks, MatchesNeighborScanOracle) {
     for (PeerId id = 0; id < peers; ++id) {
       eligible[id] = rng.bernoulli(p_eligible);
     }
-    std::vector<ChunkId> wanted;
-    for (ChunkId c = base; c < base + window; ++c) {
-      if (rng.bernoulli(0.6)) wanted.push_back(c);
-    }
-    if (wanted.empty()) wanted.push_back(base + window - 1);
-    rng.shuffle(wanted);
+    // The freshest max_wanted missing chunks, newest first.
+    const std::size_t max_wanted = 1 + rng.uniform_index(window);
+    std::vector<ChunkId> wanted = table.buffer(buyer).missing();
+    std::reverse(wanted.begin(), wanted.end());
+    if (wanted.size() > max_wanted) wanted.resize(max_wanted);
+    // Drop hard in some trials so that every seller drains mid-walk, and
+    // stop early in others, as a spent budget does.
+    const double p_drop = trial % 4 == 0 ? 0.9 : 0.3;
+    const std::size_t stop_after =
+        trial % 7 == 0 ? rng.uniform_index(6) : wanted.size();
 
-    const bool built = masks.build(index, neighbors, wanted, base,
-                                   [&](PeerId s) { return eligible[s]; });
     const auto num_eligible = static_cast<std::size_t>(
         std::count_if(neighbors.begin(), neighbors.end(),
                       [&](PeerId s) { return eligible[s]; }));
-    EXPECT_EQ(masks.num_eligible(), num_eligible);
-    EXPECT_EQ(built, num_eligible > 0);
-    if (!built) continue;
-    EXPECT_EQ(masks.words(), (num_eligible + 63) / 64);
-    ++widths_seen[window > 64][std::min<std::size_t>(masks.words(), 3) - 1];
-
-    // Walk the wanted chunks in phase order; sellers drain as they sell,
-    // and a drained seller must vanish from every later chunk.
-    std::vector<bool> drained(peers);
-    for (const ChunkId c : wanted) {
-      const auto expect =
-          scan_sellers(neighbors, table, eligible, drained, c);
-      masks.visit(c, [&](const auto& sellers) {
-        expect_matches_scan(sellers, expect);
+    std::vector<Visited> visits;
+    std::vector<std::size_t> dropped_bits;
+    CandidateMasks::Misses miss;
+    bool walked = false;
+    with_width(index.words_per_peer(), [&](auto win) {
+      constexpr std::size_t kWin = decltype(win)::value;
+      EXPECT_EQ(masks.want<kWin>(index, buyer, max_wanted), wanted.size());
+      EXPECT_EQ(masks.filter(neighbors, [&](PeerId s) { return eligible[s]; }),
+                num_eligible);
+      if (num_eligible == 0 || wanted.empty()) return;
+      EXPECT_EQ(masks.words(), (num_eligible + 63) / 64);
+      ++widths_seen[index.words_per_peer() - 1]
+                   [std::min<std::size_t>(masks.words(), 3) - 1];
+      with_width(masks.words(), [&](auto sel) {
+        constexpr std::size_t kSel = decltype(sel)::value;
+        masks.scatter<kWin, kSel>(index);
+        walked = true;
+        miss = masks.walk<kWin, kSel>(
+            [&] { return visits.size() >= stop_after; },
+            [&](std::size_t offset, const auto& sellers) {
+              Visited v{base + offset, walked_sellers(sellers), {}};
+              if (rng.bernoulli(p_drop)) {
+                // Drop by bit position, as the kernel does.
+                std::vector<std::size_t> bits;
+                sellers.for_each([&](std::size_t b) { bits.push_back(b); });
+                const std::size_t bit = bits[rng.uniform_index(bits.size())];
+                v.dropped = sellers.peer(bit);
+                masks.drop(bit);
+                dropped_bits.push_back(bit);
+                ++drops;
+              }
+              if (!dropped_bits.empty() && rng.bernoulli(0.05)) {
+                // Dropping a seller twice changes nothing.
+                masks.drop(dropped_bits[rng.uniform_index(dropped_bits.size())]);
+              }
+              visits.push_back(std::move(v));
+            });
       });
+    });
+    if (!walked) continue;
+
+    // Replay the phase against the scan: the same chunks visited in the
+    // same order with the same sellers, and every other chunk charged to
+    // the right cause until the stop test first holds.
+    std::vector<bool> drained(peers);
+    const std::vector<bool> none(peers);
+    std::size_t next = 0;
+    std::size_t num_drained = 0;
+    CandidateMasks::Misses expect;
+    for (const ChunkId c : wanted) {
+      if (next >= stop_after) {
+        ++stops;
+        break;
+      }
+      if (num_drained == num_eligible) ++early_exits;
+      const auto sellers = scan_sellers(neighbors, table, eligible, drained, c);
+      if (sellers.empty()) {
+        if (scan_sellers(neighbors, table, eligible, none, c).empty()) {
+          ++expect.no_seller;
+        } else {
+          ++expect.drained;
+        }
+        continue;
+      }
+      ASSERT_LT(next, visits.size()) << "chunk " << c << " was not visited";
+      EXPECT_EQ(visits[next].chunk, c);
+      EXPECT_EQ(visits[next].sellers, sellers) << "chunk " << c;
       if (HasFailure()) return;  // one diverging chunk tells the story
-      if (!expect.empty() && rng.bernoulli(0.3)) {
-        const PeerId gone = expect[rng.uniform_index(expect.size())];
-        drained[gone] = true;
-        masks.drop(gone, wanted);
-        ++drops;
+      if (visits[next].dropped) {
+        drained[*visits[next].dropped] = true;
+        ++num_drained;
       }
-      if (rng.bernoulli(0.05)) {
-        masks.drop(ids[degree + rng.uniform_index(peers - degree)], wanted);
-      }
+      ++next;
     }
+    EXPECT_EQ(next, visits.size());
+    EXPECT_EQ(miss.no_seller, expect.no_seller);
+    EXPECT_EQ(miss.drained, expect.drained);
+    drained_misses += expect.drained;
+    if (HasFailure()) return;
   }
   for (const auto& rows : widths_seen) {
     for (const std::size_t seen : rows) EXPECT_GT(seen, 0u);
   }
   EXPECT_GT(drops, 100u);
+  EXPECT_GT(stops, 10u);
+  EXPECT_GT(early_exits, 10u) << "no walk outlived its last seller";
+  EXPECT_GT(drained_misses, 10u);
 }
 
 ProtocolConfig base_config(std::uint64_t seed) {
@@ -530,6 +612,78 @@ TEST(OwnerIndexInvariant, DepartedSlotsAreNobodysNeighbor) {
     }
   }
   EXPECT_GT(departed, 0u);
+}
+
+/// Σ over every buyer phase of its failed_availability increments, and the
+/// three cause counters, after `horizon` seconds of `cfg`.
+struct FailureSplit {
+  std::uint64_t availability = 0;
+  std::uint64_t no_seller = 0;
+  std::uint64_t drained = 0;
+  std::uint64_t above_limit = 0;
+};
+
+FailureSplit failure_split(const ProtocolConfig& cfg, double horizon) {
+  sim::Simulator sim;
+  StreamingProtocol proto(cfg, sim);
+  // Per-slot counters are zeroed when churn recycles a slot (only between
+  // rounds), so sum them round by round: a slot whose join time changed
+  // since the last round counts from zero.
+  std::vector<std::uint64_t> last(cfg.max_peers, 0);
+  std::vector<double> joined(cfg.max_peers, -1.0);
+  FailureSplit out;
+  proto.set_round_hook([&](std::uint64_t, double) {
+    for (PeerId id = 0; id < cfg.max_peers; ++id) {
+      const PeerState p = proto.peer(id);
+      const std::uint64_t before = p.join_time == joined[id] ? last[id] : 0;
+      out.availability += p.failed_availability - before;
+      last[id] = p.failed_availability;
+      joined[id] = p.join_time;
+    }
+  });
+  proto.start();
+  sim.run_until(horizon);
+  const auto& m = proto.metrics();
+  out.no_seller = m.counter("purchase.fail_no_seller");
+  out.drained = m.counter("purchase.fail_drained");
+  out.above_limit = m.counter("purchase.fail_above_limit");
+  return out;
+}
+
+TEST(PurchaseCounters, FailureCausesSumToAvailabilityFailures) {
+  auto churn = base_config(3);
+  churn.churn.enabled = true;
+  churn.churn.arrival_rate = 0.8;
+  churn.churn.mean_lifespan = 40.0;
+  churn.churn.join_links = 6;
+  churn.upload_capacity = 1.0;  // sellers drain mid-phase
+  const FailureSplit direct = failure_split(churn, 120.0);
+  EXPECT_GT(direct.no_seller, 0u);
+  EXPECT_GT(direct.drained, 0u);
+  EXPECT_EQ(direct.above_limit, 0u);
+  EXPECT_EQ(direct.no_seller + direct.drained + direct.above_limit,
+            direct.availability);
+
+  // obk02 with book.cross=2, under churn: fixed-markup asks at 2 sit at
+  // the default limit of 2, so nothing is refused.
+  auto obk02 = book_config(19);
+  obk02.book.cross = BookConfig::CrossStrategy::kLimit;
+  obk02.churn = churn.churn;
+  const FailureSplit fixed = failure_split(obk02, 120.0);
+  EXPECT_GT(fixed.no_seller, 0u);
+  EXPECT_EQ(fixed.above_limit, 0u);
+  EXPECT_EQ(fixed.no_seller + fixed.drained + fixed.above_limit,
+            fixed.availability);
+
+  // Adaptive asks climb past the limit, so limit buyers do refuse.
+  auto adaptive = adaptive_book_config(11);
+  adaptive.book.cross = BookConfig::CrossStrategy::kLimit;
+  adaptive.book.limit_price = 2;
+  const FailureSplit book = failure_split(adaptive, 80.0);
+  EXPECT_GT(book.no_seller, 0u);
+  EXPECT_GT(book.above_limit, 0u);
+  EXPECT_EQ(book.no_seller + book.drained + book.above_limit,
+            book.availability);
 }
 
 }  // namespace

@@ -70,11 +70,82 @@ void expect_rows_bitwise_equal(const std::vector<AggregateRow>& a,
   }
 }
 
+/// The oracle: the batch aggregation, re-derived by scanning the sink's
+/// retained runs in run-index order. The streaming fold must equal it bit
+/// for bit.
+std::vector<AggregateRow> aggregate_from_runs(const ResultSink& sink) {
+  const std::vector<RunResult>& runs = sink.runs();
+  std::vector<AggregateRow> rows;
+  for (const RunResult& run : runs) {
+    if (rows.empty() || rows.back().point_index != run.point_index) {
+      AggregateRow row;
+      row.point_index = run.point_index;
+      row.params = run.params;
+      rows.push_back(std::move(row));
+    }
+    AggregateRow& row = rows.back();
+    if (!run.error.empty()) {
+      ++row.failures;
+      row.errors.push_back(run.error);
+      continue;
+    }
+    ++row.seeds;
+    if (row.metrics.empty()) {
+      for (const auto& [name, value] : run.metrics) {
+        MetricStat stat;
+        stat.mean = value;  // temporarily the running sum
+        stat.n = 1;
+        row.metrics.emplace_back(name, stat);
+      }
+      continue;
+    }
+    if (row.metrics.size() != run.metrics.size()) {
+      ADD_FAILURE() << "runs of one grid point disagree on their metric set";
+      return {};
+    }
+    for (std::size_t k = 0; k < run.metrics.size(); ++k) {
+      row.metrics[k].second.mean += run.metrics[k].second;
+      ++row.metrics[k].second.n;
+    }
+  }
+
+  // Finalize: sums → means, then a second pass for the spread. Runs are
+  // kept sorted by run_index, so each row's runs occupy one contiguous
+  // slice of runs — the spread pass walks them exactly once overall.
+  for (AggregateRow& row : rows) {
+    for (auto& [name, stat] : row.metrics) {
+      stat.mean /= static_cast<double>(stat.n);
+    }
+  }
+  std::size_t cursor = 0;
+  for (AggregateRow& row : rows) {
+    const std::size_t begin = cursor;
+    while (cursor < runs.size() &&
+           runs[cursor].point_index == row.point_index) {
+      ++cursor;
+    }
+    if (row.seeds < 2) continue;
+    for (std::size_t k = 0; k < row.metrics.size(); ++k) {
+      double sq = 0.0;
+      for (std::size_t i = begin; i < cursor; ++i) {
+        if (!runs[i].error.empty()) continue;
+        const double d =
+            runs[i].metrics[k].second - row.metrics[k].second.mean;
+        sq += d * d;
+      }
+      MetricStat& stat = row.metrics[k].second;
+      stat.stddev = std::sqrt(sq / static_cast<double>(stat.n - 1));
+      stat.ci95 = 1.96 * stat.stddev / std::sqrt(static_cast<double>(stat.n));
+    }
+  }
+  return rows;
+}
+
 TEST(ResultSinkStreaming, FoldEqualsBatchOnMultiSeedSweep) {
   const auto results = tiny_results();
   ResultSink sink;
   sink.add_all(results);
-  expect_rows_bitwise_equal(sink.aggregate(), sink.aggregate_from_runs());
+  expect_rows_bitwise_equal(sink.aggregate(), aggregate_from_runs(sink));
 }
 
 TEST(ResultSinkStreaming, InterleavedShardMergeOrderFoldsIdentically) {
@@ -94,7 +165,7 @@ TEST(ResultSinkStreaming, InterleavedShardMergeOrderFoldsIdentically) {
   }
 
   expect_rows_bitwise_equal(interleaved.aggregate(),
-                            in_order.aggregate_from_runs());
+                            aggregate_from_runs(in_order));
   EXPECT_EQ(interleaved.aggregate_csv(), in_order.aggregate_csv());
   EXPECT_EQ(interleaved.aggregate_json(), in_order.aggregate_json());
   EXPECT_EQ(interleaved.runs_csv(), in_order.runs_csv());
@@ -118,7 +189,7 @@ TEST(ResultSinkStreaming, ExpectedReplicationsFinalizeEagerly) {
   EXPECT_EQ(declared.aggregate_csv(), undeclared.aggregate_csv());
   EXPECT_EQ(declared_late.aggregate_csv(), undeclared.aggregate_csv());
   expect_rows_bitwise_equal(declared.aggregate(),
-                            undeclared.aggregate_from_runs());
+                            aggregate_from_runs(undeclared));
 }
 
 TEST(ResultSinkStreaming, MetricsOnlyModeDropsRunsButAggregatesIdentically) {
@@ -161,7 +232,7 @@ TEST(ResultSinkStreaming, FailedRunsFoldLikeBatch) {
     sink.add(*it);
   }
   const auto rows = sink.aggregate();
-  expect_rows_bitwise_equal(rows, sink.aggregate_from_runs());
+  expect_rows_bitwise_equal(rows, aggregate_from_runs(sink));
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].seeds, 2u);
   EXPECT_EQ(rows[0].failures, 1u);
